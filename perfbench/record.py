@@ -13,15 +13,15 @@ import sys
 from pathlib import Path
 
 import check
-from run import OUT, run_child, traced_counts
+from run import OUT, run_child
 from workloads import VARIANTS, WORKLOADS
 
 
 def record_variant(wl, variant: int, work: Path) -> dict:
-    """Reference of one variant: plain-run output fingerprints and traced counts.
+    """Reference of one variant: plain-run output fingerprints and exact counts.
 
-    Raises RuntimeError if a command fails or the traced replica's outputs are
-    not byte-identical to the CLI's.
+    Raises RuntimeError if a command fails, or if the traced run's outputs or
+    counts are not identical to the plain run's.
     """
     shutil.rmtree(work, ignore_errors=True)
     (work / "in").mkdir(parents=True)
@@ -37,10 +37,12 @@ def record_variant(wl, variant: int, work: Path) -> dict:
             for name in cmd.outputs:
                 outputs[name] = check.fingerprint(work / "plain" / name)
                 if check.fingerprint(work / "traced" / name)["sha256"] != outputs[name]["sha256"]:
-                    raise RuntimeError(f"{wl.name} variant {variant}: traced {name} differs from the CLI's")
+                    raise RuntimeError(f"{wl.name} variant {variant}: traced {name} differs from plain")
                 if name == "eval.csv" and check.error_rows(work / "plain" / name):
                     raise RuntimeError(f"{wl.name} variant {variant}: error rows in {name}")
-        return {"outputs": outputs, "counts": traced_counts(traced)}
+        if traced["counts"] != plain["counts"]:
+            raise RuntimeError(f"{wl.name} variant {variant}: traced counts differ from plain")
+        return {"outputs": outputs, "counts": plain["counts"]}
     finally:
         shutil.rmtree(work, ignore_errors=True)
 

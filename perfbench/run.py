@@ -2,12 +2,13 @@
 
     python3 perfbench/run.py --workload NAME --seed N --seconds S --trace 0|1
 
-Generates the workload's inputs from the seed (set-up, timed several times),
-then repeats the workload's hcwmf command sequence, each repetition in a fresh
-process, until S seconds are used.  Every output is checked against the
-pinned reference in reference/.  With --trace 0 it reports the end-to-end
-metrics; with --trace 1 it alternates untraced and traced repetitions and
-reports the per-layer metrics.  The last stdout line is the result JSON.
+Generates the workload's inputs from the seed (set-up), then repeats the
+workload's hcwmf command sequence, each repetition in a fresh process, until
+S seconds are used; set-up is timed again between repetitions.  Every output
+and exact count is checked against the pinned reference in reference/.  With
+--trace 0 it reports the end-to-end metrics; with --trace 1 it alternates
+untraced and traced repetitions and reports the per-layer metrics.  The last
+stdout line is the result JSON.
 Files go to .bench_out/ at the repository root.
 """
 
@@ -35,13 +36,17 @@ sys.path.insert(0, str(SRC))
 import check  # noqa: E402
 from workloads import VARIANTS, WORKLOADS  # noqa: E402
 
-# Set-up repeats at least this often and for at least this long; setup_s is
-# the median, which keeps it steady when one generation takes milliseconds.
-SETUP_REPEATS = 3
-SETUP_MIN_S = 1.0
+# Set-up runs in bursts: one before the first repetition and one after each
+# repetition while set-up has used less than SETUP_SHARE of the repetitions'
+# time.  A burst repeats generation until it has lasted SETUP_BURST_S.
+# setup_s so samples the whole run rather than one moment of it; it is the
+# block median of all generations, like wall_s.
+SETUP_BURST_S = 0.25
+SETUP_SHARE = 0.35
 # A run must end within 180 s; a stuck repetition is killed before that.
 RUN_DEADLINE_S = 170
-# Shortest block of repetitions whose mean enters the wall_s median.
+# Shortest block of repetitions (or generations) whose mean enters the
+# wall_s (or setup_s) median.
 BLOCK_S = 8.0
 
 END_TO_END = [("setup_s", "s"), ("wall_s", "s"), ("peak_rss_mb", "MB")]
@@ -80,7 +85,8 @@ COUNT_METRICS = (
     "stats.users",
 )
 
-# Counts that must repeat exactly from run to run and match the reference.
+# Counts that must repeat exactly from run to run and match the reference;
+# every repetition, traced or not, records them.
 DRIFT_COUNTS = (
     "factorization.fit_iters",
     "dataio.events",
@@ -231,12 +237,6 @@ def drift(counts: dict, ref: dict | None) -> list[str]:
     ]
 
 
-def traced_counts(result: dict) -> dict:
-    counts = dict(result.get("counts", {}))
-    counts["factorization.fit_iters"] = result.get("factorization.fit_iters")
-    return counts
-
-
 def run_workload(wl, seed: int, seconds: float, trace: bool, reference: dict, out: Path = OUT) -> dict:
     """Set up and measure one workload; returns metrics, op counts and raw data."""
     ref = reference.get(str(seed % VARIANTS))
@@ -244,22 +244,26 @@ def run_workload(wl, seed: int, seconds: float, trace: bool, reference: dict, ou
     stamp = f"{wl.name}-seed{seed}-trace{int(trace)}-{os.getpid()}"
     work = out / f"work-{stamp}"
     inputs = work / "in"
-    try:
-        setup, digests = [], set()
-        while len(setup) < SETUP_REPEATS or sum(setup) < SETUP_MIN_S:
+    setup, digests = [], set()
+
+    def set_up() -> None:
+        burst = time.perf_counter()
+        while True:
             shutil.rmtree(inputs, ignore_errors=True)
             inputs.mkdir(parents=True)
             t0 = time.perf_counter()
             wl.make_inputs(inputs, wl.generator_seed(seed))
             setup.append(time.perf_counter() - t0)
             digests.add(_digest(inputs))
+            if time.perf_counter() - burst >= SETUP_BURST_S:
+                break
 
+    try:
+        set_up()
         commands = [cmd.argv for cmd in wl.commands]
         plain, traced, problems = [], [], []
         ops = failed = 0
-        if len(digests) != 1:
-            problems.append("set-up produced different inputs on repeated runs")
-        started = time.perf_counter()
+        measured = 0.0
         rep = 0
         while True:
             rep_started = time.perf_counter()
@@ -270,24 +274,27 @@ def run_workload(wl, seed: int, seconds: float, trace: bool, reference: dict, ou
                 left = RUN_DEADLINE_S - (time.perf_counter() - run_started)
                 result = run_child(mode, commands, rep_dir, spans, f"{stamp}-rep{rep}", max(left, 1.0))
                 per_op = check_outputs(wl, result, rep_dir, ref)
-                if mode == "traced":
-                    traced.append(result)
-                    per_op[-1] += drift(traced_counts(result), ref)
-                else:
-                    plain.append(result)
+                per_op[-1] += drift(result.get("counts", {}), ref)
+                (traced if mode == "traced" else plain).append(result)
                 ops += len(per_op)
                 failed += sum(1 for found in per_op if found)
                 problems += [p for found in per_op for p in found]
                 shutil.rmtree(rep_dir)
             rep += 1
-            elapsed = time.perf_counter() - started
-            if elapsed + 0.5 * (time.perf_counter() - rep_started) >= seconds:
+            rep_s = time.perf_counter() - rep_started
+            measured += rep_s
+            if measured + 0.5 * rep_s >= seconds:
                 break
+            if sum(setup) < SETUP_SHARE * measured:
+                set_up()
     finally:
         shutil.rmtree(work, ignore_errors=True)
 
-    if traced and any(traced_counts(r) != traced_counts(traced[0]) for r in traced):
-        problems.append("drift: exact counts differ between traced repetitions")
+    if len(digests) != 1:
+        problems.append("set-up produced different inputs on repeated runs")
+    counts = [r.get("counts") for r in plain + traced]
+    if any(c != counts[0] for c in counts):
+        problems.append("drift: exact counts differ between repetitions")
         failed += 1
     metrics = layer_metrics(plain, traced) if trace else end_to_end_metrics(setup, plain)
     return {
@@ -312,12 +319,12 @@ def _median(values) -> float:
 
 
 def _block_median(values) -> float:
-    """Median over blocks of consecutive repetitions of their mean.
+    """Median over blocks of consecutive timings of their mean.
 
     The host's speed switches between regimes that last seconds, so the
-    median of repetitions much shorter than that flips between regimes from
-    run to run.  Blocks of at least BLOCK_S seconds blend them; repetitions
-    longer than that are blocks of their own.
+    median of timings much shorter than that flips between regimes from run
+    to run.  Blocks of at least BLOCK_S seconds blend them; timings longer
+    than that are blocks of their own.
     """
     if not values:
         return 0.0
@@ -337,7 +344,7 @@ def _command_seconds(results, command: str) -> float:
 
 def end_to_end_metrics(setup, plain) -> dict:
     values = {
-        "setup_s": _median(setup),
+        "setup_s": _block_median(setup),
         "wall_s": _block_median([r.get("wall_s", 0.0) for r in plain]),
         "peak_rss_mb": _median([r.get("peak_rss_mb", 0.0) for r in plain]),
     }
@@ -353,7 +360,7 @@ def layer_metrics(plain, traced) -> dict:
     values.update({f"{layer}.self_s": self_s.get(layer, 0.0) for layer in LAYERS})
     values.update({f"cli.{cmd}_s": _command_seconds(plain, cmd) for cmd in COMMANDS})
     values.update({name: counts.get(name, 0) for name in COUNT_METRICS})
-    iters = sum(rep.get("factorization.fit_iters") or [])
+    iters = sum(counts.get("factorization.fit_iters") or [])
     ar_rows = counts.get("baselines.ar_rows", 0)
     untraced = _median([r.get("wall_s", 0.0) for r in plain])
     values.update(

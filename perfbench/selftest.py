@@ -7,8 +7,8 @@ and checks that:
   * runs in both modes fail no op and print exactly the metrics of
     BENCHMARK.json, each with its unit;
   * a reference perturbed beyond the tolerance (an output value, an output
-    digest, an exact count) turns into failed ops, while one perturbed
-    within the tolerance does not.
+    digest, an exact count in a traced or a plain run) turns into failed
+    ops, while one perturbed within the tolerance does not.
 Exits 0 when every check holds.
 """
 
@@ -49,6 +49,10 @@ def _perturbations(ref):
     bad_count = copy.deepcopy(ref)
     bad_count["counts"]["linalg.nnz"] += 1
     cases.append(("linalg.nnz count", bad_count, True, True))
+    bad_iters = copy.deepcopy(ref)
+    iters = bad_iters["counts"]["factorization.fit_iters"]
+    iters[:1] = [iters[0] - 1] if iters else [1]
+    cases.append(("iterations per fit", bad_iters, True, False))
     return cases
 
 
