@@ -42,7 +42,7 @@ from workloads import VARIANTS, WORKLOADS  # noqa: E402
 # setup_s so samples the whole run rather than one moment of it; it is the
 # block median of all generations, like wall_s.
 SETUP_BURST_S = 0.25
-SETUP_SHARE = 0.35
+SETUP_SHARE = 0.10
 # A run must end within 180 s; a stuck repetition is killed before that.
 RUN_DEADLINE_S = 170
 # Shortest block of repetitions (or generations) whose mean enters the
