@@ -51,8 +51,6 @@ from .harness import (
 from .linalg import (
     DenseMatrix,
     SparseBinaryMatrix,
-    frobenius_norm_sq,
-    hadamard,
     low_rank_product,
 )
 from .masks import HeldOutSet, MaskPair, build_attenuation, build_indicator, build_masks
@@ -93,12 +91,10 @@ __all__ = [
     "cumulative_counts",
     "fit_ar",
     "fit_markov",
-    "frobenius_norm_sq",
     "generate_corpus",
     "generate_synthetic",
     "grad_u",
     "grad_v",
-    "hadamard",
     "load_matrix_csv",
     "low_rank_product",
     "objective",

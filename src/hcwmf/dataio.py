@@ -167,15 +167,17 @@ def bin_records(
         raise ValueError(f"no events for hashtag {hashtag!r}")
     users = sorted({user for user, _ in tagged})
     row_of = {u: i for i, u in enumerate(users)}
-    cells = {(row_of[u], (ts - min_ts) // bin_seconds) for u, ts in tagged}
-    max_bin = max(c for _, c in cells)
+    rows = np.fromiter((row_of[u] for u, _ in tagged), dtype=np.int64, count=len(tagged))
+    ts = np.fromiter((t for _, t in tagged), dtype=np.int64, count=len(tagged))
+    bins = (ts - min_ts) // bin_seconds
+    max_bin = int(bins.max())
     if m is None:
         m = math.ceil(1.25 * (max_bin + 1))
     elif m <= max_bin:
         raise ValueError(
             f"m={m} is too small: largest occupied bin is {max_bin}, need m >= {max_bin + 1}"
         )
-    return SparseBinaryMatrix(len(users), m, cells)
+    return SparseBinaryMatrix(len(users), m, np.column_stack((rows, bins)))
 
 
 def _user_ids(n_users: int) -> list[str]:
@@ -276,25 +278,46 @@ def save_matrix_csv(matrix: SparseBinaryMatrix, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"N,{matrix.rows}\n")
         fh.write(f"M,{matrix.cols}\n")
-        for r, c in sorted(matrix.entries):
+        for r, c in zip(matrix.row.tolist(), matrix.col.tolist()):
             fh.write(f"{r},{c},1\n")
 
 
 def load_matrix_csv(path) -> SparseBinaryMatrix:
-    """Inverse of save_matrix_csv, validating the header and triplet values."""
+    """Inverse of save_matrix_csv, validating the header and every triplet.
+
+    Errors name the file and the 1-based line; a repeated triplet is an error.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if len(lines) < 2 or not lines[0].startswith("N,") or not lines[1].startswith("M,"):
-        raise ValueError(f"{path}: expected 'N,<rows>' and 'M,<cols>' header lines")
-    n = int(lines[0][2:])
-    m = int(lines[1][2:])
-    cells = []
-    for ln in lines[2:]:
-        parts = ln.split(",")
+        lines = [(k, ln.strip()) for k, ln in enumerate(fh, start=1) if ln.strip()]
+
+    def bad(lineno: int, problem: str) -> ValueError:
+        return ValueError(f"{path}, line {lineno}: {problem}")
+
+    def count(lineno: int, text: str) -> int:
+        if not text.isdecimal():
+            raise bad(lineno, f"{text!r} is not a non-negative integer")
+        return int(text)
+
+    shape = []
+    for k, key in enumerate("NM"):
+        lineno, text = lines[k] if k < len(lines) else (k + 1, "")
+        label, _, value = text.partition(",")
+        if label != key:
+            raise bad(lineno, f"expected the '{key},<size>' header line, got {text!r}")
+        shape.append(count(lineno, value))
+    n, m = shape
+    first_line: dict[tuple[int, int], int] = {}
+    for lineno, text in lines[2:]:
+        parts = text.split(",")
         if len(parts) != 3 or parts[2] != "1":
-            raise ValueError(f"{path}: malformed triplet line {ln!r}")
-        cells.append((int(parts[0]), int(parts[1])))
-    return SparseBinaryMatrix(n, m, cells)
+            raise bad(lineno, f"malformed triplet {text!r}, expected '<row>,<col>,1'")
+        cell = (count(lineno, parts[0]), count(lineno, parts[1]))
+        if cell[0] >= n or cell[1] >= m:
+            raise bad(lineno, f"cell {cell} out of range for shape ({n}, {m})")
+        if cell in first_line:
+            raise bad(lineno, f"duplicate triplet {text!r}, first on line {first_line[cell]}")
+        first_line[cell] = lineno
+    return SparseBinaryMatrix(n, m, list(first_line))
 
 
 def save_cumulative_csv(rows, path) -> None:

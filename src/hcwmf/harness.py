@@ -5,7 +5,9 @@ same training matrix and is scored on the same held-out cells (which were
 positives, so the target value is 1), making comparisons paired.  All
 per-cell seeds derive from the single seed in the training config, so a
 whole sweep is reproducible from one integer.  A method that fails inside a
-cell produces an error row instead of aborting the sweep.
+cell with a ValueError or an ArithmeticError (numpy's LinAlgError and
+FloatingPointError among them) produces an error row instead of aborting
+the sweep; any other exception is a bug and propagates.
 """
 
 import csv
@@ -121,13 +123,14 @@ def split_mask(x: SparseBinaryMatrix, spec: SplitSpec) -> tuple[SparseBinaryMatr
     """
     if x.nnz == 0:
         raise ValueError("cannot split a matrix with no positive entries")
-    cells = sorted(x.entries)
-    n_held = max(1, int(math.floor(spec.fraction / 100.0 * len(cells) + 0.5)))
+    n_held = max(1, int(math.floor(spec.fraction / 100.0 * x.nnz + 0.5)))
     rng = np.random.default_rng(spec.seed)
-    picked = rng.choice(len(cells), size=n_held, replace=False)
-    held = HeldOutSet.of(cells[k] for k in picked)
-    train_entries = x.entries - held.cells
-    return SparseBinaryMatrix(x.rows, x.cols, train_entries), held
+    picked = rng.choice(x.nnz, size=n_held, replace=False)
+    keep = np.ones(x.nnz, dtype=bool)
+    keep[picked] = False
+    held = HeldOutSet.of(np.column_stack((x.row[~keep], x.col[~keep])))
+    x_train = SparseBinaryMatrix(x.rows, x.cols, np.column_stack((x.row[keep], x.col[keep])))
+    return x_train, held
 
 
 def rmse(predicted, actual) -> float:
@@ -145,21 +148,21 @@ def _derived_seed(entropy: list[int]) -> int:
     return int(np.random.SeedSequence(entropy).generate_state(1)[0])
 
 
-def _markov_predictions(x_train: SparseBinaryMatrix, cells) -> np.ndarray:
+def _markov_predictions(x_train: SparseBinaryMatrix, held: HeldOutSet) -> np.ndarray:
     model = fit_markov(x_train)
     arr = x_train.to_array()
-    preds = []
-    for i, j in cells:
-        prev = 0 if j == 0 else int(arr[i, j - 1])
-        preds.append(predict_markov(model, prev))
-    return np.asarray(preds)
+    prev = np.zeros(len(held), dtype=int)
+    inner = held.col > 0
+    prev[inner] = arr[held.row[inner], held.col[inner] - 1]
+    by_state = np.array([predict_markov(model, 0), predict_markov(model, 1)])
+    return by_state[prev]
 
 
-def _ar_predictions(x_train: SparseBinaryMatrix, cells, order: int) -> np.ndarray:
+def _ar_predictions(x_train: SparseBinaryMatrix, held: HeldOutSet, order: int) -> np.ndarray:
     arr = x_train.to_array()
     models = {}
     preds = []
-    for i, j in cells:
+    for i, j in held:
         if i not in models:
             models[i] = fit_ar(arr[i], p=order)
         preds.append(predict_ar(models[i], arr[i, :j]))
@@ -203,8 +206,7 @@ def run_sweep(
         split_seed = _derived_seed([master, _SPLIT_TAG, frac_key])
         x_train, held = split_mask(x, SplitSpec(fraction=fraction, seed=split_seed))
         masks = build_masks(x_train, held)
-        cells = sorted(held.cells)
-        actual = np.ones(len(cells))
+        actual = np.ones(len(held))
         for d in dim_list:
             train_seed = _derived_seed([master, _TRAIN_TAG, frac_key, d])
             random_seed = _derived_seed([master, _RANDOM_TAG, frac_key, d])
@@ -214,34 +216,17 @@ def run_sweep(
                         mu = 0.0 if method == "wmf" else cfg.mu
                         run_cfg = replace(cfg, d=d, mu=mu, seed=train_seed)
                         factors, _ = train(x_train, masks, run_cfg)
-                        full = predict(factors).data
-                        preds = np.asarray([full[i, j] for i, j in cells])
+                        preds = predict(factors).data[held.row, held.col]
                     elif method == "markov":
-                        preds = _markov_predictions(x_train, cells)
+                        preds = _markov_predictions(x_train, held)
                     elif method == "ar":
-                        preds = _ar_predictions(x_train, cells, ar_order)
+                        preds = _ar_predictions(x_train, held, ar_order)
                     else:
-                        preds = random_predict(len(cells), random_seed)
+                        preds = random_predict(len(held), random_seed)
                     if clamp:
                         preds = np.clip(preds, 0.0, 1.0)
-                    rows.append(
-                        ResultRow(
-                            dataset=dataset,
-                            method=method,
-                            fraction=fraction,
-                            d=d,
-                            rmse=rmse(preds, actual),
-                        )
-                    )
-                except Exception as exc:
-                    rows.append(
-                        ResultRow(
-                            dataset=dataset,
-                            method=method,
-                            fraction=fraction,
-                            d=d,
-                            rmse=None,
-                            error=f"{type(exc).__name__}: {exc}",
-                        )
-                    )
+                    score, error = rmse(preds, actual), ""
+                except (ValueError, ArithmeticError) as exc:
+                    score, error = None, f"{type(exc).__name__}: {exc}"
+                rows.append(ResultRow(dataset, method, fraction, d, score, error))
     return ResultsTable(rows=tuple(rows))

@@ -12,8 +12,6 @@ import numpy as np
 __all__ = [
     "DenseMatrix",
     "SparseBinaryMatrix",
-    "hadamard",
-    "frobenius_norm_sq",
     "low_rank_product",
 ]
 
@@ -74,23 +72,52 @@ class DenseMatrix:
         return f"DenseMatrix({self.rows}x{self.cols})"
 
 
+def _coords(cells: Iterable[tuple[int, int]] | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Deduplicated read-only int64 (row, col) arrays of ``cells`` in sorted order.
+
+    ``cells`` is an iterable of (row, col) pairs or a k x 2 integer array.
+    """
+    arr = np.asarray(cells if isinstance(cells, np.ndarray) else list(cells), dtype=np.int64)
+    if arr.size == 0:
+        arr = arr.reshape(0, 2)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError(f"cells must be (row, col) pairs, got shape {arr.shape}")
+    order = np.lexsort((arr[:, 1], arr[:, 0]))
+    row, col = arr[order, 0], arr[order, 1]
+    new = np.ones(row.size, dtype=bool)
+    new[1:] = (row[1:] != row[:-1]) | (col[1:] != col[:-1])
+    row, col = row[new], col[new]
+    row.flags.writeable = col.flags.writeable = False
+    return row, col
+
+
+def _check_in_shape(row: np.ndarray, col: np.ndarray, shape: tuple[int, int], what: str) -> None:
+    """Reject the first coordinate outside ``shape``, naming it as ``what``."""
+    outside = (row < 0) | (row >= shape[0]) | (col < 0) | (col >= shape[1])
+    if outside.any():
+        k = int(np.argmax(outside))
+        raise ValueError(f"{what} ({row[k]}, {col[k]}) out of range for shape ({shape[0]}, {shape[1]})")
+
+
 class SparseBinaryMatrix:
-    """Binary N x M matrix stored as the set of coordinates holding a 1."""
+    """Binary N x M matrix; ``row`` and ``col`` locate its 1s in row-major order.
 
-    __slots__ = ("rows", "cols", "entries")
+    Both are read-only, deduplicated int64 arrays.
+    """
 
-    def __init__(self, rows: int, cols: int, entries: Iterable[tuple[int, int]]):
+    __slots__ = ("rows", "cols", "row", "col")
+
+    def __init__(self, rows: int, cols: int, entries: Iterable[tuple[int, int]] | np.ndarray):
         if rows < 0 or cols < 0:
             raise ValueError(f"negative shape ({rows}, {cols})")
-        cells = frozenset((int(r), int(c)) for r, c in entries)
-        for r, c in cells:
-            if not (0 <= r < rows and 0 <= c < cols):
-                raise ValueError(
-                    f"entry ({r}, {c}) out of range for shape ({rows}, {cols})"
-                )
-        self.rows = rows
-        self.cols = cols
-        self.entries = cells
+        self.row, self.col = _coords(entries)
+        _check_in_shape(self.row, self.col, (rows, cols), "entry")
+        self.rows, self.cols = rows, cols
+
+    @property
+    def entries(self) -> frozenset[tuple[int, int]]:
+        """The (row, col) pairs holding a 1, as a set."""
+        return frozenset(zip(self.row.tolist(), self.col.tolist()))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -99,47 +126,27 @@ class SparseBinaryMatrix:
     @property
     def nnz(self) -> int:
         """Number of non-zero entries (the sparsity parameter of the cost model)."""
-        return len(self.entries)
+        return self.row.size
 
     @property
     def density(self) -> float:
         total = self.rows * self.cols
         return self.nnz / total if total else 0.0
 
-    def to_dense(self) -> DenseMatrix:
-        return DenseMatrix(self.to_array())
-
     def to_array(self) -> np.ndarray:
         """Writable float64 copy of the full matrix."""
         arr = np.zeros((self.rows, self.cols))
-        if self.entries:
-            idx = np.array(sorted(self.entries))
-            arr[idx[:, 0], idx[:, 1]] = 1.0
+        arr[self.row, self.col] = 1.0
         return arr
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseBinaryMatrix):
             return NotImplemented
-        return self.shape == other.shape and self.entries == other.entries
+        same = np.array_equal(self.row, other.row) and np.array_equal(self.col, other.col)
+        return self.shape == other.shape and same
 
     def __repr__(self) -> str:
         return f"SparseBinaryMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
-
-
-def _require_same_shape(a: DenseMatrix, b: DenseMatrix, op: str) -> None:
-    if a.shape != b.shape:
-        raise ValueError(f"{op}: shape mismatch {a.shape} vs {b.shape}")
-
-
-def hadamard(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
-    """Entrywise product of two matrices of identical shape."""
-    _require_same_shape(a, b, "hadamard")
-    return DenseMatrix(a.data * b.data)
-
-
-def frobenius_norm_sq(a: DenseMatrix) -> float:
-    """Sum of squared entries (the squared Frobenius norm)."""
-    return float(np.sum(a.data * a.data))
 
 
 def low_rank_product(u: DenseMatrix, v: DenseMatrix) -> DenseMatrix:

@@ -13,29 +13,42 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DenseMatrix, SparseBinaryMatrix
+from .linalg import DenseMatrix, SparseBinaryMatrix, _check_in_shape, _coords
 
 __all__ = ["HeldOutSet", "MaskPair", "build_indicator", "build_attenuation", "build_masks"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HeldOutSet:
-    """Coordinates of positive cells removed from the matrix for evaluation."""
+    """Positive cells removed from the matrix for evaluation.
 
-    cells: frozenset[tuple[int, int]]
+    ``of`` stores them as read-only int64 ``row`` and ``col`` arrays in row-major
+    order without duplicates; iteration yields (row, col) pairs in that order.
+    """
+
+    row: np.ndarray
+    col: np.ndarray
 
     @classmethod
-    def of(cls, cells: Iterable[tuple[int, int]]) -> "HeldOutSet":
-        return cls(frozenset((int(r), int(c)) for r, c in cells))
+    def of(cls, cells: Iterable[tuple[int, int]] | np.ndarray) -> "HeldOutSet":
+        """Held-out set of (row, col) pairs or of a k x 2 integer array."""
+        return cls(*_coords(cells))
+
+    @property
+    def cells(self) -> frozenset[tuple[int, int]]:
+        """The held-out (row, col) pairs, as a set."""
+        return frozenset(self)
 
     def __len__(self) -> int:
-        return len(self.cells)
+        return self.row.size
 
     def __iter__(self):
-        return iter(self.cells)
+        return zip(self.row.tolist(), self.col.tolist())
 
-    def __contains__(self, cell) -> bool:
-        return cell in self.cells
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, HeldOutSet):
+            return NotImplemented
+        return np.array_equal(self.row, other.row) and np.array_equal(self.col, other.col)
 
 
 @dataclass(frozen=True)
@@ -57,11 +70,9 @@ def build_indicator(shape: tuple[int, int], held_out: HeldOutSet) -> DenseMatrix
     marked unknown.
     """
     n, m = shape
+    _check_in_shape(held_out.row, held_out.col, shape, "held-out cell")
     w = np.ones((n, m))
-    for r, c in held_out:
-        if not (0 <= r < n and 0 <= c < m):
-            raise ValueError(f"held-out cell ({r}, {c}) out of range for shape {shape}")
-        w[r, c] = 0.0
+    w[held_out.row, held_out.col] = 0.0
     return DenseMatrix(w)
 
 
@@ -75,16 +86,11 @@ def build_attenuation(x_train: SparseBinaryMatrix) -> DenseMatrix:
     for the ramp.  Later positives in a row do not restart the ramp.
     """
     n, m = x_train.shape
-    g = np.zeros((n, m))
-    first: dict[int, int] = {}
-    for r, c in x_train.entries:
-        if r not in first or c < first[r]:
-            first[r] = c
-    for r, j0 in first.items():
-        g[r, j0] = 1.0
-        if j0 + 1 < m:
-            tail = np.arange(j0 + 1, m)
-            g[r, j0 + 1 :] = 1.0 - 1.0 / (m - tail)
+    onset = np.full(n, m)
+    np.minimum.at(onset, x_train.row, x_train.col)
+    cols = np.arange(m)
+    g = np.where(cols > onset[:, None], 1.0 - 1.0 / (m - cols), 0.0)
+    g[cols == onset[:, None]] = 1.0
     return DenseMatrix(g)
 
 

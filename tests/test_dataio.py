@@ -298,6 +298,27 @@ class TestMatrixCsv:
         bad_value.write_text("N,2\nM,3\n0,1,2\n")
         with pytest.raises(ValueError, match="triplet"):
             load_matrix_csv(bad_value)
+        # Every error names the file and the 1-based line it concerns, and a
+        # repeated triplet is rejected instead of merged.
+        cases = [
+            ("", 1, "expected the 'N,<size>' header line, got ''"),
+            ("N,2\n", 2, "expected the 'M,<size>' header line"),
+            ("N,2\n\nrows,3\n", 3, "expected the 'M,<size>' header line, got 'rows,3'"),
+            ("N,-1\nM,3\n", 1, "'-1' is not a non-negative integer"),
+            ("N,2\nM,x\n", 2, "'x' is not a non-negative integer"),
+            ("N,2\nM,3\n0,1\n", 3, "malformed triplet"),
+            ("N,2\nM,3\n0,1,1\n0,a,1\n", 4, "'a' is not a non-negative integer"),
+            ("N,2\nM,3\n0,1,1\n\n2,0,1\n", 5, r"cell \(2, 0\) out of range"),
+            ("N,2\nM,3\n0,-1,1\n", 3, "'-1' is not a non-negative integer"),
+            ("N,2\nM,3\n0,3,1\n", 3, r"cell \(0, 3\) out of range"),
+            ("N,2\nM,3\n0,1,1\n1,2,1\n0,1,1\n", 5, "duplicate triplet '0,1,1', first on line 3"),
+        ]
+        for k, (text, line, problem) in enumerate(cases):
+            path = tmp_path / f"case{k}.csv"
+            path.write_text(text)
+            with pytest.raises(ValueError, match=problem) as info:
+                load_matrix_csv(path)
+            assert str(info.value).startswith(f"{path}, line {line}: "), text
 
 
 class TestCumulativeCsv:

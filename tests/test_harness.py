@@ -198,6 +198,29 @@ class TestRunSweep:
             assert by_method[ok].error == ""
             assert by_method[ok].rmse is not None
 
+    def test_numeric_failures_become_error_rows(self, monkeypatch):
+        x = SparseBinaryMatrix(4, 6, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        for exc in (np.linalg.LinAlgError, FloatingPointError):
+
+            def failing_fit_ar(*args, exc=exc, **kwargs):
+                raise exc("numeric failure")
+
+            monkeypatch.setattr("hcwmf.harness.fit_ar", failing_fit_ar)
+            (row,) = run_sweep(x, ["ar"], [50.0], [2]).rows
+            assert row.rmse is None
+            assert row.error == f"{exc.__name__}: numeric failure"
+
+    def test_programming_errors_propagate(self, monkeypatch):
+        # A TypeError is a bug, not a method failing on its data, so it must
+        # abort the sweep instead of hiding in an error row.
+        def broken_fit_ar(*args, **kwargs):
+            raise TypeError("bug in the caller")
+
+        monkeypatch.setattr("hcwmf.harness.fit_ar", broken_fit_ar)
+        x = SparseBinaryMatrix(4, 6, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        with pytest.raises(TypeError, match="bug in the caller"):
+            run_sweep(x, ["ar"], [50.0], [2])
+
     def test_clamp_bounds_scores(self):
         rng = np.random.default_rng(53)
         x = _random_matrix(rng, 20, 15, 90)

@@ -6,8 +6,6 @@ import pytest
 from hcwmf import (
     DenseMatrix,
     SparseBinaryMatrix,
-    frobenius_norm_sq,
-    hadamard,
     low_rank_product,
 )
 
@@ -87,69 +85,11 @@ class TestSparseBinaryMatrix:
         expected = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
         np.testing.assert_array_equal(m.to_array(), expected)
 
-    def test_to_dense_matches_to_array(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            n, m = rng.integers(1, 8, size=2)
-            cells = {
-                (int(r), int(c))
-                for r, c in zip(rng.integers(0, n, 10), rng.integers(0, m, 10))
-            }
-            sp = SparseBinaryMatrix(int(n), int(m), cells)
-            np.testing.assert_array_equal(sp.to_dense().data, sp.to_array())
-
     def test_equality_by_shape_and_entries(self):
         a = SparseBinaryMatrix(2, 2, [(0, 0)])
         assert a == SparseBinaryMatrix(2, 2, [(0, 0)])
         assert a != SparseBinaryMatrix(2, 2, [(1, 1)])
         assert a != SparseBinaryMatrix(3, 2, [(0, 0)])
-
-
-class TestHadamard:
-    def test_direct_definition(self):
-        a = DenseMatrix([[1.0, 2.0], [3.0, 4.0]])
-        b = DenseMatrix([[0.0, 1.0], [1.0, 0.0]])
-        expected = np.array([[0.0, 2.0], [3.0, 0.0]])
-        np.testing.assert_array_equal(hadamard(a, b).data, expected)
-
-    def test_all_ones_is_identity(self):
-        rng = np.random.default_rng(11)
-        a = DenseMatrix(rng.normal(size=(4, 5)))
-        assert hadamard(a, DenseMatrix.ones(4, 5)) == a
-
-    def test_all_zeros_annihilates(self):
-        rng = np.random.default_rng(12)
-        a = DenseMatrix(rng.normal(size=(4, 5)))
-        assert hadamard(a, DenseMatrix.zeros(4, 5)) == DenseMatrix.zeros(4, 5)
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="shape mismatch"):
-            hadamard(DenseMatrix.ones(2, 3), DenseMatrix.ones(3, 2))
-
-    def test_commutative(self):
-        rng = np.random.default_rng(13)
-        a = DenseMatrix(rng.normal(size=(3, 3)))
-        b = DenseMatrix(rng.normal(size=(3, 3)))
-        assert hadamard(a, b) == hadamard(b, a)
-
-
-class TestFrobeniusNormSq:
-    def test_three_four_row(self):
-        assert frobenius_norm_sq(DenseMatrix([[3.0, 4.0]])) == 25.0
-
-    def test_zero_matrix(self):
-        assert frobenius_norm_sq(DenseMatrix.zeros(3, 4)) == 0.0
-
-    def test_identity_two(self):
-        assert frobenius_norm_sq(DenseMatrix(np.eye(2))) == 2.0
-
-    def test_equals_sum_of_squares(self):
-        rng = np.random.default_rng(21)
-        for _ in range(30):
-            n, m = rng.integers(1, 10, size=2)
-            arr = rng.normal(size=(n, m))
-            got = frobenius_norm_sq(DenseMatrix(arr))
-            assert got == pytest.approx(float(np.sum(arr**2)), rel=1e-12)
 
 
 class TestLowRankProduct:
