@@ -75,13 +75,12 @@ def fit_markov(x_train: SparseBinaryMatrix) -> TransitionModel:
     n, m = x_train.shape
     if m < 2:
         raise ValueError(f"need at least 2 columns to count transitions, got {m}")
-    arr = x_train.to_array()
-    prev, nxt = arr[:, :-1], arr[:, 1:]
-    counts = np.empty((2, 2))
-    counts[0, 0] = np.sum((1 - prev) * (1 - nxt))
-    counts[0, 1] = np.sum((1 - prev) * nxt)
-    counts[1, 0] = np.sum(prev * (1 - nxt))
-    counts[1, 1] = np.sum(prev * nxt)
+    row, col = x_train.row, x_train.col
+    # The 1s are row-major, so a 1 -> 1 pair is two neighbouring entries of one row.
+    c11 = int(np.sum((row[1:] == row[:-1]) & (col[1:] == col[:-1] + 1)))
+    c10 = int(np.sum(col < m - 1)) - c11
+    c01 = int(np.sum(col > 0)) - c11
+    counts = np.array([[n * (m - 1) - c11 - c10 - c01, c01], [c10, c11]], dtype=float)
     t = np.zeros((2, 2))
     for state in (0, 1):
         total = counts[state].sum()

@@ -94,8 +94,7 @@ class TrainTrace:
         return len(self.objective_per_iter)
 
 
-def _objective_arrays(x, w, g, u, v, gamma1, gamma2, mu) -> float:
-    p = u @ v.T
+def _objective_arrays(x, w, g, p, u, v, gamma1, gamma2, mu) -> float:
     r = w * (x - p)
     total = float(np.sum(r * r))
     total += gamma1 * float(np.sum(u * u))
@@ -106,18 +105,17 @@ def _objective_arrays(x, w, g, u, v, gamma1, gamma2, mu) -> float:
     return total
 
 
-def _grads_arrays(x, w, g, u, v, gamma1, gamma2, mu):
+def _grad_arrays(x, w, g, p, a, b, gamma, mu):
+    """Gradient of the loss in ``a`` at ``p = a b^T``.
+
+    Pass (x, w, g, p, u, v) for U and the transposed views (x.T, w.T, g.T, p.T, v, u) for V.
+    """
     # W is binary so W*W = W and the residual needs no extra mask squaring;
     # G is real-valued so its square stays explicit.
-    p = u @ v.T
-    r = w * (x - p)
-    gu = -2.0 * (r @ v) + 2.0 * gamma1 * u
-    gv = -2.0 * (r.T @ u) + 2.0 * gamma2 * v
+    grad = -2.0 * ((w * (x - p)) @ b) + 2.0 * gamma * a
     if mu != 0.0:
-        c = (g * g) * (1.0 - p)
-        gu -= 2.0 * mu * (c @ v)
-        gv -= 2.0 * mu * (c.T @ u)
-    return gu, gv
+        grad -= 2.0 * mu * (((g * g) * (1.0 - p)) @ b)
+    return grad
 
 
 def _unpack(x: SparseBinaryMatrix, masks: MaskPair, factors: FactorPair):
@@ -128,33 +126,32 @@ def _unpack(x: SparseBinaryMatrix, masks: MaskPair, factors: FactorPair):
         raise ValueError(
             f"factors sized {factors.u.rows}x{factors.v.rows} do not match matrix {n}x{m}"
         )
-    return x.to_array(), masks.w.data, masks.g.data, factors.u.data, factors.v.data
+    ua, va = factors.u.data, factors.v.data
+    return x.to_array(), masks.w.data, masks.g.data, ua @ va.T, ua, va
 
 
 def objective(
     x: SparseBinaryMatrix, masks: MaskPair, factors: FactorPair, cfg: TrainConfig
 ) -> float:
     """Value of the regularized loss at the given factors."""
-    xa, wa, ga, ua, va = _unpack(x, masks, factors)
-    return _objective_arrays(xa, wa, ga, ua, va, cfg.gamma1, cfg.gamma2, cfg.mu)
+    xa, wa, ga, pa, ua, va = _unpack(x, masks, factors)
+    return _objective_arrays(xa, wa, ga, pa, ua, va, cfg.gamma1, cfg.gamma2, cfg.mu)
 
 
 def grad_u(
     x: SparseBinaryMatrix, masks: MaskPair, factors: FactorPair, cfg: TrainConfig
 ) -> DenseMatrix:
     """Exact gradient of the loss with respect to U."""
-    xa, wa, ga, ua, va = _unpack(x, masks, factors)
-    gu, _ = _grads_arrays(xa, wa, ga, ua, va, cfg.gamma1, cfg.gamma2, cfg.mu)
-    return DenseMatrix(gu)
+    xa, wa, ga, pa, ua, va = _unpack(x, masks, factors)
+    return DenseMatrix(_grad_arrays(xa, wa, ga, pa, ua, va, cfg.gamma1, cfg.mu))
 
 
 def grad_v(
     x: SparseBinaryMatrix, masks: MaskPair, factors: FactorPair, cfg: TrainConfig
 ) -> DenseMatrix:
     """Exact gradient of the loss with respect to V."""
-    xa, wa, ga, ua, va = _unpack(x, masks, factors)
-    _, gv = _grads_arrays(xa, wa, ga, ua, va, cfg.gamma1, cfg.gamma2, cfg.mu)
-    return DenseMatrix(gv)
+    xa, wa, ga, pa, ua, va = _unpack(x, masks, factors)
+    return DenseMatrix(_grad_arrays(xa.T, wa.T, ga.T, pa.T, va, ua, cfg.gamma2, cfg.mu))
 
 
 def _init_factors(n: int, m: int, d: int, seed: int):
@@ -188,17 +185,20 @@ def train(
     u, v = _init_factors(n, m, cfg.d, cfg.seed)
     lr = cfg.learning_rate
 
-    prev = _objective_arrays(xa, wa, ga, u, v, cfg.gamma1, cfg.gamma2, cfg.mu)
+    # p is always u v^T for the current factors: each half-step and the
+    # objective read it, and it is rebuilt once after each factor changes.
+    p = u @ v.T
+    prev = _objective_arrays(xa, wa, ga, p, u, v, cfg.gamma1, cfg.gamma2, cfg.mu)
     initial = prev
     trace: list[float] = []
     converged = False
     for it in range(1, cfg.max_iters + 1):
-        gu, _ = _grads_arrays(xa, wa, ga, u, v, cfg.gamma1, cfg.gamma2, cfg.mu)
-        u = np.maximum(0.0, u - lr * gu)
-        _, gv = _grads_arrays(xa, wa, ga, u, v, cfg.gamma1, cfg.gamma2, cfg.mu)
-        v = np.maximum(0.0, v - lr * gv)
+        u = np.maximum(0.0, u - lr * _grad_arrays(xa, wa, ga, p, u, v, cfg.gamma1, cfg.mu))
+        p = u @ v.T
+        v = np.maximum(0.0, v - lr * _grad_arrays(xa.T, wa.T, ga.T, p.T, v, u, cfg.gamma2, cfg.mu))
+        p = u @ v.T
 
-        cur = _objective_arrays(xa, wa, ga, u, v, cfg.gamma1, cfg.gamma2, cfg.mu)
+        cur = _objective_arrays(xa, wa, ga, p, u, v, cfg.gamma1, cfg.gamma2, cfg.mu)
         if not math.isfinite(cur):
             raise FloatingPointError(
                 f"objective became non-finite ({cur}) at iteration {it}; "

@@ -150,10 +150,10 @@ def _derived_seed(entropy: list[int]) -> int:
 
 def _markov_predictions(x_train: SparseBinaryMatrix, held: HeldOutSet) -> np.ndarray:
     model = fit_markov(x_train)
-    arr = x_train.to_array()
+    m = x_train.cols
     prev = np.zeros(len(held), dtype=int)
     inner = held.col > 0
-    prev[inner] = arr[held.row[inner], held.col[inner] - 1]
+    prev[inner] = np.isin(held.row[inner] * m + held.col[inner] - 1, x_train.row * m + x_train.col)
     by_state = np.array([predict_markov(model, 0), predict_markov(model, 1)])
     return by_state[prev]
 

@@ -192,6 +192,19 @@ class TestErrorHandling:
         assert code == 2
         assert "rel_tol" in err
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_allocation_failure_reports_through_handler(self, command, tmp_path, capsys):
+        # A 2**20 x 2**30 shape asks for an 8 PiB dense mask, which numpy
+        # refuses at once without committing any memory.
+        matrix_path = tmp_path / "huge.csv"
+        matrix_path.write_text("N,1048576\nM,1073741824\n0,0,1\n")
+        out_flag = "--trace" if command == "train" else "--out"
+        code, _, err = _run(
+            capsys, command, "--matrix", str(matrix_path), out_flag, str(tmp_path / "o.csv"),
+        )
+        assert code == 2
+        assert err.startswith("error: Unable to allocate")
+
     def test_unknown_subcommand_exits_via_argparse(self, capsys):
         with pytest.raises(SystemExit):
             main(["frobnicate"])

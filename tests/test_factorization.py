@@ -245,6 +245,33 @@ class TestTrain:
         assert np.array_equal(factors.v.data, ref_v)
         assert list(trace.objective_per_iter) == ref_objs
 
+    def test_mu_positive_equals_replay_of_public_kernels(self):
+        # The trainer's half-steps must see the same U V^T as the public
+        # kernels: the V step the product with the updated U, the objective
+        # the product with both updated factors.
+        rng = np.random.default_rng(15)
+        x, masks, _, _ = _random_instance(rng, 7, 10, 2, mu=0.2)
+        cfg = TrainConfig(d=2, mu=0.2, learning_rate=0.01, max_iters=20, rel_tol=1e-30, seed=6)
+        factors, trace = train(x, masks, cfg)
+
+        init = np.random.default_rng(cfg.seed)
+        high = 1.0 / math.sqrt(cfg.d)
+        u = init.uniform(0.0, high, size=(x.rows, cfg.d))
+        v = init.uniform(0.0, high, size=(x.cols, cfg.d))
+
+        def at(u_arr, v_arr):
+            return x, masks, FactorPair(u=DenseMatrix(u_arr), v=DenseMatrix(v_arr)), cfg
+
+        assert trace.initial_objective == objective(*at(u, v))
+        objs = []
+        for _ in range(cfg.max_iters):
+            u = np.maximum(0.0, u - cfg.learning_rate * grad_u(*at(u, v)).data)
+            v = np.maximum(0.0, v - cfg.learning_rate * grad_v(*at(u, v)).data)
+            objs.append(objective(*at(u, v)))
+        assert np.array_equal(factors.u.data, u)
+        assert np.array_equal(factors.v.data, v)
+        assert list(trace.objective_per_iter) == objs
+
     def test_factors_stay_nonnegative(self):
         rng = np.random.default_rng(9)
         x, _, _, _ = _random_instance(rng, 8, 6, 2, mu=0.2)

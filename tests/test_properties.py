@@ -18,10 +18,13 @@ from hcwmf import (
     SparseBinaryMatrix,
     SplitSpec,
     build_attenuation,
+    fit_markov,
     load_matrix_csv,
+    predict_markov,
     save_matrix_csv,
     split_mask,
 )
+from hcwmf.harness import _markov_predictions
 
 
 @st.composite
@@ -107,3 +110,45 @@ def test_csv_round_trip(case):
         lines = [f"N,{n}", f"M,{m}"] + [f"{r},{c},1" for r, c in sorted(set(cells))]
         assert path.read_text() == "\n".join(lines) + "\n"
         assert load_matrix_csv(path) == x
+
+
+@st.composite
+def row_boundary_splits(draw):
+    """(x, x_train, held) with m >= 2 and positives on both sides of a row boundary.
+
+    (i, m-1) stays in training and (i+1, 0) is held out.
+    """
+    n = draw(st.integers(2, 12))
+    m = draw(st.integers(2, 12))
+    i = draw(st.integers(0, n - 2))
+    cell = st.tuples(st.integers(0, n - 1), st.integers(0, m - 1))
+    positives = set(draw(st.lists(cell, max_size=40))) | {(i, m - 1), (i + 1, 0)}
+    held = draw(st.sets(st.sampled_from(sorted(positives)))) | {(i + 1, 0)}
+    held.discard((i, m - 1))
+    return (
+        SparseBinaryMatrix(n, m, positives),
+        SparseBinaryMatrix(n, m, positives - held),
+        HeldOutSet.of(held),
+    )
+
+
+def _dense_markov_oracle(x):
+    arr = x.to_array().astype(int)
+    counts = np.zeros((2, 2))
+    for r in range(x.rows):
+        for c in range(x.cols - 1):
+            counts[arr[r, c], arr[r, c + 1]] += 1
+    return np.array([c / c.sum() if c.sum() else [1.0, 0.0] for c in counts])
+
+
+@settings(deadline=None)
+@given(row_boundary_splits())
+def test_markov_from_coordinates_matches_dense_oracle(case):
+    x, x_train, held = case
+    for matrix in (x, x_train):
+        assert fit_markov(matrix).t.data.tolist() == _dense_markov_oracle(matrix).tolist()
+    model = fit_markov(x_train)
+    by_state = [predict_markov(model, 0), predict_markov(model, 1)]
+    arr = x_train.to_array()
+    expected = [by_state[int(arr[r, c - 1])] if c > 0 else by_state[0] for r, c in held]
+    assert _markov_predictions(x_train, held).tolist() == expected
