@@ -30,19 +30,32 @@ __all__ = ["build_parser", "main"]
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--gamma1", type=float, default=0.2, help="U regularization weight")
-    p.add_argument("--gamma2", type=float, default=0.2, help="V regularization weight")
-    p.add_argument("--mu", type=float, default=0.2, help="consistency term weight (0 disables)")
+    p.add_argument("--gamma1", type=float, default=TrainConfig.gamma1, help="U regularization weight")
+    p.add_argument("--gamma2", type=float, default=TrainConfig.gamma2, help="V regularization weight")
+    p.add_argument("--mu", type=float, default=TrainConfig.mu, help="consistency term weight (0 disables)")
     p.add_argument(
         "--lambda",
         dest="learning_rate",
         type=float,
-        default=0.001,
+        default=TrainConfig.learning_rate,
         metavar="LAMBDA",
         help="gradient step size",
     )
-    p.add_argument("--max-iters", type=int, default=500, help="iteration cap")
-    p.add_argument("--rel-tol", type=float, default=1e-6, help="relative objective-change stop")
+    p.add_argument("--max-iters", type=int, default=TrainConfig.max_iters, help="iteration cap")
+    p.add_argument("--rel-tol", type=float, default=TrainConfig.rel_tol, help="relative objective-change stop")
+
+
+def _train_config(args, **fields) -> TrainConfig:
+    return TrainConfig(
+        gamma1=args.gamma1,
+        gamma2=args.gamma2,
+        mu=args.mu,
+        learning_rate=args.learning_rate,
+        max_iters=args.max_iters,
+        rel_tol=args.rel_tol,
+        seed=args.seed,
+        **fields,
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -83,9 +96,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="fit the factorization on a matrix CSV")
     p.add_argument("--matrix", required=True, help="matrix CSV from ingest")
-    p.add_argument("--d", type=int, default=10, help="latent dimension")
+    p.add_argument("--d", type=int, default=TrainConfig.d, help="latent dimension")
     _add_train_flags(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.add_argument("--trace", required=True, help="output objective trace CSV")
     p.add_argument("--factors", default=None, help="prefix for PREFIX_u.csv / PREFIX_v.csv dumps")
 
@@ -98,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ar-order", type=int, default=2, help="autoregressive baseline order")
     p.add_argument("--clamp", action="store_true", help="clip predictions into [0,1] before RMSE")
     p.add_argument("--dataset", default=None, help="dataset tag for result rows (default: matrix stem)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.add_argument("--out", required=True, help="output results CSV")
 
     p = sub.add_parser("ttest", help="one-sided consistency t-test on a record file")
@@ -156,23 +169,14 @@ def _write_trace_csv(trace, path) -> None:
 def _write_factor_csv(dense, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for row in dense.data:
-            fh.write(",".join(repr(float(v)) for v in row))
+            fh.write(",".join(map(repr, row.tolist())))
             fh.write("\n")
 
 
 def _cmd_train(args) -> int:
     x = load_matrix_csv(args.matrix)
     masks = build_masks(x, HeldOutSet.of(()))
-    cfg = TrainConfig(
-        d=args.d,
-        gamma1=args.gamma1,
-        gamma2=args.gamma2,
-        mu=args.mu,
-        learning_rate=args.learning_rate,
-        max_iters=args.max_iters,
-        rel_tol=args.rel_tol,
-        seed=args.seed,
-    )
+    cfg = _train_config(args, d=args.d)
     factors, trace = train(x, masks, cfg)
     _write_trace_csv(trace, args.trace)
     final = trace.objective_per_iter[-1] if trace.objective_per_iter else trace.initial_objective
@@ -192,15 +196,7 @@ def _cmd_eval(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     fractions = [float(f) for f in args.fractions.split(",") if f.strip()]
     dims = [int(d) for d in args.dims.split(",") if d.strip()]
-    cfg = TrainConfig(
-        gamma1=args.gamma1,
-        gamma2=args.gamma2,
-        mu=args.mu,
-        learning_rate=args.learning_rate,
-        max_iters=args.max_iters,
-        rel_tol=args.rel_tol,
-        seed=args.seed,
-    )
+    cfg = _train_config(args)
     dataset = args.dataset if args.dataset is not None else Path(args.matrix).stem
     table = run_sweep(
         x,

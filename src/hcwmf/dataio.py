@@ -31,6 +31,17 @@ __all__ = [
 ]
 
 
+def _event_problem(user, hashtag, ts) -> str | None:
+    """Why (user, hashtag, ts) is not a valid event, or None when it is."""
+    if not isinstance(user, str) or not user:
+        return f"user id must be a non-empty string, got {user!r}"
+    if not isinstance(hashtag, str) or not hashtag:
+        return f"hashtag must be a non-empty string, got {hashtag!r}"
+    if isinstance(ts, bool) or not isinstance(ts, int) or ts < 0:
+        return f"timestamp must be a non-negative integer, got {ts!r}"
+    return None
+
+
 @dataclass(frozen=True)
 class AdoptionRecords:
     """Immutable sequence of (user_id, hashtag, timestamp-in-seconds) events."""
@@ -41,13 +52,9 @@ class AdoptionRecords:
         for ev in self.events:
             if len(ev) != 3:
                 raise ValueError(f"event must be (user, hashtag, ts), got {ev!r}")
-            user, hashtag, ts = ev
-            if not isinstance(user, str) or not user:
-                raise ValueError(f"user id must be a non-empty string, got {user!r}")
-            if not isinstance(hashtag, str) or not hashtag:
-                raise ValueError(f"hashtag must be a non-empty string, got {hashtag!r}")
-            if isinstance(ts, bool) or not isinstance(ts, int) or ts < 0:
-                raise ValueError(f"timestamp must be a non-negative integer, got {ts!r}")
+            problem = _event_problem(*ev)
+            if problem:
+                raise ValueError(problem)
 
     @classmethod
     def of(cls, events) -> "AdoptionRecords":
@@ -121,16 +128,7 @@ def parse_records(stream) -> tuple[AdoptionRecords, int]:
             warnings.warn(f"line {lineno}: not valid JSON, skipped", stacklevel=2)
             skipped += 1
             continue
-        if (
-            not isinstance(obj, dict)
-            or not isinstance(obj.get("user"), str)
-            or not obj.get("user")
-            or not isinstance(obj.get("hashtag"), str)
-            or not obj.get("hashtag")
-            or isinstance(obj.get("ts"), bool)
-            or not isinstance(obj.get("ts"), int)
-            or obj["ts"] < 0
-        ):
+        if not isinstance(obj, dict) or _event_problem(obj.get("user"), obj.get("hashtag"), obj.get("ts")):
             warnings.warn(f"line {lineno}: malformed record, skipped", stacklevel=2)
             skipped += 1
             continue

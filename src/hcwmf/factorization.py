@@ -94,14 +94,16 @@ class TrainTrace:
         return len(self.objective_per_iter)
 
 
+def _sq(a) -> float:
+    return float(np.sum(a * a))
+
+
 def _objective_arrays(x, w, g, p, u, v, gamma1, gamma2, mu) -> float:
-    r = w * (x - p)
-    total = float(np.sum(r * r))
-    total += gamma1 * float(np.sum(u * u))
-    total += gamma2 * float(np.sum(v * v))
+    # Each residual is freed once its term is summed, so the objective holds
+    # no more N x M temporaries than a gradient does.
+    total = _sq(w * (x - p)) + gamma1 * _sq(u) + gamma2 * _sq(v)
     if mu != 0.0:
-        c = g * (1.0 - p)
-        total += mu * float(np.sum(c * c))
+        total += mu * _sq(g * (1.0 - p))
     return total
 
 

@@ -30,14 +30,6 @@ class DenseMatrix:
         arr.flags.writeable = False
         self._data = arr
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "DenseMatrix":
-        return cls(np.zeros((rows, cols)))
-
-    @classmethod
-    def ones(cls, rows: int, cols: int) -> "DenseMatrix":
-        return cls(np.ones((rows, cols)))
-
     @property
     def data(self) -> np.ndarray:
         """Read-only 2-D view of the underlying storage."""
@@ -54,11 +46,6 @@ class DenseMatrix:
     @property
     def shape(self) -> tuple[int, int]:
         return self._data.shape
-
-    @property
-    def values(self) -> np.ndarray:
-        """Entries as a flat row-major sequence."""
-        return self._data.ravel()
 
     def __getitem__(self, key):
         return self._data[key]
@@ -127,11 +114,6 @@ class SparseBinaryMatrix:
     def nnz(self) -> int:
         """Number of non-zero entries (the sparsity parameter of the cost model)."""
         return self.row.size
-
-    @property
-    def density(self) -> float:
-        total = self.rows * self.cols
-        return self.nnz / total if total else 0.0
 
     def to_array(self) -> np.ndarray:
         """Writable float64 copy of the full matrix."""

@@ -123,6 +123,9 @@ def welch_ttest_one_sided(a, b, alpha: float = 0.01) -> TTestResult:
 _BETA_TOL = 1e-12
 _BETA_MAX_TERMS = 300
 _FPMIN = 1e-300
+# From here on lgamma(a + b) - lgamma(a) with a = df/2 loses the tail to
+# cancellation, and the normal approximation below is the more accurate.
+_NORMAL_DF = 1e6
 
 
 def _betacf(a: float, b: float, x: float) -> float:
@@ -138,25 +141,18 @@ def _betacf(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, _BETA_MAX_TERMS + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        even = m * (b - m) * x / ((qam + m2) * (a + m2))
+        odd = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        for aa in (even, odd):
+            d = 1.0 + aa * d
+            if abs(d) < _FPMIN:
+                d = _FPMIN
+            c = 1.0 + aa / c
+            if abs(c) < _FPMIN:
+                c = _FPMIN
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < _BETA_TOL:
             return h
     raise ArithmeticError(
@@ -194,12 +190,17 @@ def student_t_upper_tail(t: float, df: float) -> float:
     """P(T > t) for Student's t with df degrees of freedom.
 
     Uses the identity P(T > t) = I_x(df/2, 1/2) / 2 with x = df/(df + t^2)
-    for t >= 0, and symmetry for t < 0.  Exactly 0.5 at t = 0.
+    for t >= 0, and symmetry for t < 0.  Exactly 0.5 at t = 0.  For
+    df >= 1e6 it returns the normal tail of
+    z = t (1 - 1/(4 df)) / sqrt(1 + t^2/(2 df)) instead.
     """
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
     if not math.isfinite(df) or df <= 0:
         raise ValueError(f"df must be finite and > 0, got {df}")
+    if df >= _NORMAL_DF:
+        z = t * (1.0 - 1.0 / (4.0 * df)) / math.sqrt(1.0 + t * t / (2.0 * df))
+        return 0.5 * math.erfc(z / math.sqrt(2.0))
     x = df / (df + t * t)
     half_tail = 0.5 * regularized_incomplete_beta(0.5 * df, 0.5, x)
     return half_tail if t >= 0 else 1.0 - half_tail

@@ -25,7 +25,7 @@ def _from_rows(rows):
 class TestTransitionModel:
     def test_rejects_non_2x2(self):
         with pytest.raises(ValueError, match="2x2"):
-            TransitionModel(DenseMatrix.ones(3, 3))
+            TransitionModel(DenseMatrix(np.ones((3, 3))))
 
     def test_rejects_values_outside_unit_interval(self):
         with pytest.raises(ValueError, match="\\[0, 1\\]"):

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from hcwmf import ResultsTable, load_matrix_csv, parse_records
@@ -147,6 +148,20 @@ class TestEval:
         assert [r.method for r in table.rows] == ["hcwmf", "markov", "random"]
         assert all(r.dataset == "matrix" for r in table.rows)
         assert all(r.error == "" for r in table.rows)
+
+    def test_clamp_flag_clips_scores(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("hcwmf.harness.random_predict", lambda n, seed: np.full(n, 2.0))
+        matrix_path = tmp_path / "matrix.csv"
+        matrix_path.write_text("N,2\nM,3\n0,1,1\n1,2,1\n")
+        results_path = tmp_path / "results.csv"
+        code, _, _ = _run(
+            capsys, "eval", "--matrix", str(matrix_path), "--methods", "random",
+            "--fractions", "50", "--dims", "2", "--clamp", "--out", str(results_path),
+        )
+        assert code == 0
+        # Unclamped, every score of 2.0 would miss its positive by 1.0.
+        (row,) = ResultsTable.from_csv(results_path).rows
+        assert row.rmse == 0.0
 
 
 class TestTTest:

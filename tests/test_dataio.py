@@ -219,7 +219,7 @@ class TestGenerateSynthetic:
             repeat_prob=0.05, repeat_decay=0.05, seed=7,
         )
         m = bin_records(generate_synthetic(cfg), "h0", m=168)
-        assert 0.005 <= m.density <= 0.02
+        assert 0.005 <= m.nnz / (m.rows * m.cols) <= 0.02
 
 
 class TestGenerateCorpus:

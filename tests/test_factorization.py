@@ -1,6 +1,7 @@
 """Tests for the regularized factorization objective, gradients, and trainer."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -26,7 +27,7 @@ from hcwmf import (
 )
 
 ONE_CELL = SparseBinaryMatrix(1, 1, {(0, 0)})
-ONES_1x1 = MaskPair(w=DenseMatrix.ones(1, 1), g=DenseMatrix.ones(1, 1))
+ONES_1x1 = MaskPair(w=DenseMatrix(np.ones((1, 1))), g=DenseMatrix(np.ones((1, 1))))
 
 
 def _pair(u_val, v_val):
@@ -105,7 +106,7 @@ class TestTrainConfig:
 class TestFactorPair:
     def test_rank_mismatch_rejected(self):
         with pytest.raises(ValueError, match="rank mismatch"):
-            FactorPair(u=DenseMatrix.ones(2, 3), v=DenseMatrix.ones(4, 2))
+            FactorPair(u=DenseMatrix(np.ones((2, 3))), v=DenseMatrix(np.ones((4, 2))))
 
     def test_negative_entries_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -138,8 +139,21 @@ class TestObjective:
         with pytest.raises(ValueError, match="shape mismatch"):
             objective(SparseBinaryMatrix(2, 2, []), ONES_1x1, _pair(0.0, 0.0), cfg)
         with pytest.raises(ValueError, match="do not match"):
-            bad = FactorPair(u=DenseMatrix.ones(3, 1), v=DenseMatrix.ones(1, 1))
+            bad = FactorPair(u=DenseMatrix(np.ones((3, 1))), v=DenseMatrix(np.ones((1, 1))))
             objective(ONE_CELL, ONES_1x1, bad, cfg)
+
+    def test_peak_memory_with_consistency_term(self):
+        # X and U V^T plus one residual and its square at a time: each
+        # residual must be freed once its term is summed.
+        n, m = 300, 200
+        x, masks, factors, cfg = _random_instance(np.random.default_rng(8), n, m, 10, mu=0.2)
+        tracemalloc.start()
+        try:
+            objective(x, masks, factors, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / (n * m * 8) <= 4.5
 
 
 class TestGradients:
@@ -311,5 +325,5 @@ class TestPredict:
         assert got == low_rank_product(u, v)
 
     def test_zero_factors_give_zero_scores(self):
-        factors = FactorPair(u=DenseMatrix.zeros(3, 2), v=DenseMatrix.zeros(4, 2))
-        assert predict(factors) == DenseMatrix.zeros(3, 4)
+        factors = FactorPair(u=DenseMatrix(np.zeros((3, 2))), v=DenseMatrix(np.zeros((4, 2))))
+        assert predict(factors) == DenseMatrix(np.zeros((3, 4)))

@@ -229,6 +229,17 @@ class TestRunSweep:
         for row in table.rows:
             assert row.rmse is not None and row.rmse <= 1.0
 
+    def test_clamp_clips_before_scoring(self, monkeypatch):
+        scores = np.array([-0.5, 0.25, 1.75, 3.0])
+        monkeypatch.setattr("hcwmf.harness.random_predict", lambda n_cells, seed: scores)
+        x = SparseBinaryMatrix(4, 6, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        # 99% of four positives holds out all four.
+        (clamped,) = run_sweep(x, ["random"], [99.0], [2], clamp=True).rows
+        (raw,) = run_sweep(x, ["random"], [99.0], [2]).rows
+        assert clamped.rmse == rmse(np.clip(scores, 0.0, 1.0), np.ones(4))
+        assert raw.rmse == rmse(scores, np.ones(4))
+        assert clamped.rmse != raw.rmse
+
     def test_dataset_label_is_recorded(self):
         x = SparseBinaryMatrix(2, 4, [(0, 0), (1, 2)])
         table = run_sweep(x, ["random"], [50.0], [2], dataset="mytag")

@@ -39,16 +39,6 @@ class TestDenseMatrix:
         src[0, 0] = 5.0
         assert m[0, 0] == 1.0
 
-    def test_zeros_ones_factories(self):
-        z = DenseMatrix.zeros(2, 3)
-        o = DenseMatrix.ones(3, 2)
-        assert z.shape == (2, 3) and not z.data.any()
-        assert o.shape == (3, 2) and np.all(o.data == 1.0)
-
-    def test_values_is_row_major_flat(self):
-        m = DenseMatrix([[1.0, 2.0], [3.0, 4.0]])
-        assert list(m.values) == [1.0, 2.0, 3.0, 4.0]
-
     def test_equality(self):
         a = DenseMatrix([[1.0, 2.0]])
         b = DenseMatrix([[1.0, 2.0]])
@@ -75,11 +65,6 @@ class TestSparseBinaryMatrix:
         with pytest.raises(ValueError, match="negative shape"):
             SparseBinaryMatrix(-1, 2, [])
 
-    def test_density(self):
-        m = SparseBinaryMatrix(2, 2, [(0, 0)])
-        assert m.density == 0.25
-        assert SparseBinaryMatrix(0, 0, []).density == 0.0
-
     def test_to_array_places_ones(self):
         m = SparseBinaryMatrix(2, 3, [(0, 2), (1, 0)])
         expected = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
@@ -101,9 +86,9 @@ class TestLowRankProduct:
         )
 
     def test_zero_factor_gives_zero(self):
-        u = DenseMatrix.zeros(3, 2)
-        v = DenseMatrix.ones(4, 2)
-        assert low_rank_product(u, v) == DenseMatrix.zeros(3, 4)
+        u = DenseMatrix(np.zeros((3, 2)))
+        v = DenseMatrix(np.ones((4, 2)))
+        assert low_rank_product(u, v) == DenseMatrix(np.zeros((3, 4)))
 
     def test_rank_one_outer_product(self):
         u = DenseMatrix([[1.0], [2.0]])
@@ -113,7 +98,7 @@ class TestLowRankProduct:
 
     def test_inner_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="inner dimension"):
-            low_rank_product(DenseMatrix.ones(2, 3), DenseMatrix.ones(2, 4))
+            low_rank_product(DenseMatrix(np.ones((2, 3))), DenseMatrix(np.ones((2, 4))))
 
     def test_matches_numpy_matmul(self):
         rng = np.random.default_rng(31)

@@ -39,11 +39,11 @@ class TestBuildIndicator:
         np.testing.assert_array_equal(w.data, [[1.0, 0.0], [1.0, 1.0]])
 
     def test_empty_held_out_is_all_ones(self):
-        assert build_indicator((3, 4), HeldOutSet.of([])) == DenseMatrix.ones(3, 4)
+        assert build_indicator((3, 4), HeldOutSet.of([])) == DenseMatrix(np.ones((3, 4)))
 
     def test_all_cells_held_out_is_all_zeros(self):
         every = [(r, c) for r in range(2) for c in range(3)]
-        assert build_indicator((2, 3), HeldOutSet.of(every)) == DenseMatrix.zeros(2, 3)
+        assert build_indicator((2, 3), HeldOutSet.of(every)) == DenseMatrix(np.zeros((2, 3)))
 
     def test_out_of_range_cell_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -112,7 +112,7 @@ class TestBuildAttenuation:
 class TestMaskPair:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mask shape mismatch"):
-            MaskPair(w=DenseMatrix.ones(2, 3), g=DenseMatrix.ones(3, 2))
+            MaskPair(w=DenseMatrix(np.ones((2, 3))), g=DenseMatrix(np.ones((3, 2))))
 
     def test_build_masks_combines_both(self):
         x_train = SparseBinaryMatrix(2, 3, [(0, 0)])

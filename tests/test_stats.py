@@ -250,6 +250,15 @@ class TestStudentTUpperTail:
             want = float(scipy.stats.t.sf(t, df))
             assert got == pytest.approx(want, rel=1e-9, abs=1e-13)
 
+    def test_matches_scipy_up_to_huge_df(self):
+        # Up to df = 1e12, where the incomplete-beta route loses the tail to
+        # cancellation in lgamma(a + b) - lgamma(a).
+        rng = np.random.default_rng(33)
+        ts = rng.normal(0.0, 4.0, 3000)
+        dfs = np.exp(rng.uniform(math.log(0.3), math.log(1e12), 3000))
+        got = np.array([student_t_upper_tail(float(t), float(df)) for t, df in zip(ts, dfs)])
+        np.testing.assert_allclose(got, scipy.stats.t.sf(ts, dfs), rtol=0, atol=1e-9)
+
     def test_heavy_tails_at_low_df(self):
         # Cauchy tail: P(T > 1) = 1/4 at df = 1.
         assert student_t_upper_tail(1.0, 1.0) == pytest.approx(0.25, abs=1e-12)
