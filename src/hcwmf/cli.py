@@ -22,7 +22,7 @@ from .dataio import (
     write_records,
 )
 from .factorization import TrainConfig, train
-from .harness import run_sweep
+from .harness import METHODS, run_sweep
 from .masks import HeldOutSet, build_masks
 from .stats import build_consistency_vectors, welch_ttest_one_sided
 
@@ -66,11 +66,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a seeded synthetic record file")
+    p.set_defaults(run=_cmd_synth)
     p.add_argument("--users", type=int, required=True, help="number of users")
     p.add_argument("--bins", type=int, required=True, help="number of time bins")
-    p.add_argument("--repeat-prob", type=float, default=0.5, help="post-onset re-adoption probability")
-    p.add_argument("--trend-decay", type=float, default=0.1, help="onset concentration rate")
-    p.add_argument("--repeat-decay", type=float, default=0.05, help="re-adoption decay per bin")
+    p.add_argument(
+        "--repeat-prob", type=float, default=SynthConfig.repeat_prob, help="post-onset re-adoption probability"
+    )
+    p.add_argument("--trend-decay", type=float, default=SynthConfig.trend_decay, help="onset concentration rate")
+    p.add_argument("--repeat-decay", type=float, default=SynthConfig.repeat_decay, help="re-adoption decay per bin")
     p.add_argument("--hashtags", type=int, default=1, help="number of hashtags to generate")
     p.add_argument(
         "--participation",
@@ -83,6 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output record file (newline-delimited JSON)")
 
     p = sub.add_parser("ingest", help="bin a record file into a user-time matrix CSV")
+    p.set_defaults(run=_cmd_ingest)
     p.add_argument("--in", dest="infile", required=True, help="input record file")
     p.add_argument("--hashtag", required=True, help="hashtag to bin")
     p.add_argument("--bin-seconds", type=int, default=3600)
@@ -95,6 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("train", help="fit the factorization on a matrix CSV")
+    p.set_defaults(run=_cmd_train)
     p.add_argument("--matrix", required=True, help="matrix CSV from ingest")
     p.add_argument("--d", type=int, default=TrainConfig.d, help="latent dimension")
     _add_train_flags(p)
@@ -103,8 +108,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--factors", default=None, help="prefix for PREFIX_u.csv / PREFIX_v.csv dumps")
 
     p = sub.add_parser("eval", help="run the masked-RMSE sweep over methods")
+    p.set_defaults(run=_cmd_eval)
     p.add_argument("--matrix", required=True, help="matrix CSV from ingest")
-    p.add_argument("--methods", default="hcwmf,wmf,markov,ar,random", help="comma-separated list")
+    p.add_argument("--methods", default=",".join(METHODS), help="comma-separated list")
     p.add_argument("--fractions", default="10,20,30,40,50", help="held-out percentages")
     p.add_argument("--dims", default="10", help="comma-separated latent dimensions")
     _add_train_flags(p)
@@ -115,6 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output results CSV")
 
     p = sub.add_parser("ttest", help="one-sided consistency t-test on a record file")
+    p.set_defaults(run=_cmd_ttest)
     p.add_argument("--records", required=True, help="input record file")
     p.add_argument("--alpha", type=float, default=0.01, help="significance level")
     p.add_argument("--seed", type=int, default=0, help="random partner assignment seed")
@@ -143,11 +150,16 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _cmd_ingest(args) -> int:
-    with open(args.infile, "rb") as fh:
+def _read_records(path):
+    with open(path, "rb") as fh:
         records, skipped = parse_records(fh)
     if skipped:
         print(f"skipped {skipped} malformed line(s)", file=sys.stderr)
+    return records
+
+
+def _cmd_ingest(args) -> int:
+    records = _read_records(args.infile)
     matrix = bin_records(records, args.hashtag, bin_seconds=args.bin_seconds, m=args.cols)
     save_matrix_csv(matrix, args.out)
     print(f"wrote {matrix.rows}x{matrix.cols} matrix ({matrix.nnz} positives) to {args.out}")
@@ -215,11 +227,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_ttest(args) -> int:
-    with open(args.records, "rb") as fh:
-        records, skipped = parse_records(fh)
-    if skipped:
-        print(f"skipped {skipped} malformed line(s)", file=sys.stderr)
-    vectors = build_consistency_vectors(records, seed=args.seed)
+    vectors = build_consistency_vectors(_read_records(args.records), seed=args.seed)
     result = welch_ttest_one_sided(vectors.hc_u, vectors.hc_r, alpha=args.alpha)
     payload = json.dumps(
         {
@@ -240,19 +248,10 @@ def _cmd_ttest(args) -> int:
     return 0
 
 
-_HANDLERS = {
-    "synth": _cmd_synth,
-    "ingest": _cmd_ingest,
-    "train": _cmd_train,
-    "eval": _cmd_eval,
-    "ttest": _cmd_ttest,
-}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        return args.run(args)
     except (ValueError, ArithmeticError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -184,8 +184,10 @@ def run_sweep(
     ``methods`` keeps its given order in the output; unknown names are
     rejected up front.  The split for a given fraction is shared across d
     values (it does not depend on d), so latent-dimension comparisons reuse
-    identical held-out cells.  ``clamp`` clips predictions into [0, 1] before
-    scoring; off by default since raw scores are what the loss optimizes.
+    identical held-out cells; the markov and ar baselines do not depend on d
+    either, so each is fitted once per split.  ``clamp`` clips predictions
+    into [0, 1] before scoring; off by default since raw scores are what the
+    loss optimizes.
     """
     cfg = base_cfg if base_cfg is not None else TrainConfig()
     method_list = list(dict.fromkeys(methods))
@@ -207,6 +209,7 @@ def run_sweep(
         x_train, held = split_mask(x, SplitSpec(fraction=fraction, seed=split_seed))
         masks = build_masks(x_train, held)
         actual = np.ones(len(held))
+        baseline = {}  # markov and ar predictions, which do not depend on d
         for d in dim_list:
             train_seed = _derived_seed([master, _TRAIN_TAG, frac_key, d])
             random_seed = _derived_seed([master, _RANDOM_TAG, frac_key, d])
@@ -217,10 +220,12 @@ def run_sweep(
                         run_cfg = replace(cfg, d=d, mu=mu, seed=train_seed)
                         factors, _ = train(x_train, masks, run_cfg)
                         preds = predict(factors).data[held.row, held.col]
+                    elif method in baseline:
+                        preds = baseline[method]
                     elif method == "markov":
-                        preds = _markov_predictions(x_train, held)
+                        preds = baseline[method] = _markov_predictions(x_train, held)
                     elif method == "ar":
-                        preds = _ar_predictions(x_train, held, ar_order)
+                        preds = baseline[method] = _ar_predictions(x_train, held, ar_order)
                     else:
                         preds = random_predict(len(held), random_seed)
                     if clamp:

@@ -187,6 +187,18 @@ class TestTTest:
         payload = json.loads(out_path.read_text())
         assert 0.0 <= payload["p"] <= 1.0
 
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_reports_skipped_lines(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.ndjson"
+        _run(capsys, "synth", "--users", "50", "--bins", "24", "--hashtags", "3",
+             "--repeat-prob", "0.7", "--seed", "6", "--out", str(corpus))
+        dirty = tmp_path / "dirty.ndjson"
+        dirty.write_text(corpus.read_text() + "not json\n")
+        code, out, err = _run(capsys, "ttest", "--records", str(dirty), "--seed", "1")
+        assert code == 0
+        assert "skipped 1 malformed line(s)" in err
+        assert set(json.loads(out.strip().splitlines()[-1])) == {"t", "df", "p", "alpha", "reject"}
+
 
 class TestErrorHandling:
     def test_missing_input_file(self, tmp_path, capsys):

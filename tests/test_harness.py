@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import hcwmf.harness as harness
 from hcwmf import (
     METHODS,
     ResultRow,
@@ -174,6 +175,29 @@ class TestRunSweep:
         values = [r.rmse for r in table.rows]
         assert len(values) == 3
         assert len(set(values)) == 1
+
+    def test_baselines_fitted_once_per_split(self, monkeypatch):
+        # markov and ar ignore d, so a second d must reuse their predictions
+        # instead of fitting them again.
+        calls = {"fit_ar": 0, "fit_markov": 0}
+        for name in calls:
+
+            def counting(*args, _fit=getattr(harness, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fit(*args, **kwargs)
+
+            monkeypatch.setattr(harness, name, counting)
+        x = _random_matrix(np.random.default_rng(54), 25, 18, 140)
+        cfg = TrainConfig(max_iters=5)
+        one = run_sweep(x, ["markov", "ar"], [20.0, 40.0], [2], cfg)
+        one_d = dict(calls)
+        two = run_sweep(x, ["markov", "ar"], [20.0, 40.0], [2, 3], cfg)
+        assert one_d["fit_ar"] > 0 and one_d["fit_markov"] == 2
+        assert {k: calls[k] - one_d[k] for k in calls} == one_d
+        score = {(r.method, r.fraction, r.d): r.rmse for r in two.rows}
+        for r in one.rows:
+            assert r.rmse is not None
+            assert score[(r.method, r.fraction, 2)] == score[(r.method, r.fraction, 3)] == r.rmse
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(52)
