@@ -12,6 +12,12 @@ ramp:
 
 with * the elementwise product.  Setting mu = 0 removes the consistency term
 entirely and yields the plain weighted factorization used as an ablation.
+
+The masks pick the route.  A ``MaskPair`` is evaluated over dense N x M
+arrays; that route is the reference specification.  ``StructuredMasks`` are
+evaluated from two BLAS products with the constant X per iteration plus
+d x d algebra, with no other N x M array, and agree with the reference to
+rounding.
 """
 
 import math
@@ -20,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DenseMatrix, SparseBinaryMatrix, low_rank_product
-from .masks import MaskPair
+from .masks import MaskPair, StructuredMasks, _ramp
 
 __all__ = [
     "TrainConfig",
@@ -120,40 +126,201 @@ def _grad_arrays(x, w, g, p, a, b, gamma, mu):
     return grad
 
 
-def _unpack(x: SparseBinaryMatrix, masks: MaskPair, factors: FactorPair):
-    if masks.w.shape != x.shape:
-        raise ValueError(f"masks: shape mismatch {masks.w.shape} vs {x.shape}")
+class _DenseLoss:
+    """The loss over dense X, W, G and U V^T arrays: the reference route.
+
+    After U or V changes, ``moved_u`` or ``moved_v`` (after both, ``moved``)
+    must run before the next gradient or objective.  Here each rebuilds
+    U V^T, so the half-steps and the objective read the same product.
+    """
+
+    def __init__(self, x: SparseBinaryMatrix, masks: MaskPair, cfg: TrainConfig):
+        self.xa, self.wa, self.ga = x.to_array(), masks.w.data, masks.g.data
+        self.cfg = cfg
+
+    def moved(self, u, v) -> None:
+        self.p = u @ v.T
+
+    moved_u = moved_v = moved
+
+    def objective(self, u, v) -> float:
+        c = self.cfg
+        return _objective_arrays(self.xa, self.wa, self.ga, self.p, u, v, c.gamma1, c.gamma2, c.mu)
+
+    def grad_u(self, u, v):
+        return _grad_arrays(self.xa, self.wa, self.ga, self.p, u, v, self.cfg.gamma1, self.cfg.mu)
+
+    def grad_v(self, u, v):
+        return _grad_arrays(
+            self.xa.T, self.wa.T, self.ga.T, self.p.T, v, u, self.cfg.gamma2, self.cfg.mu
+        )
+
+
+def _before(a):
+    """Sums of the rows of ``a`` before each row: out[k] = sum(a[:k])."""
+    out = np.zeros_like(a)
+    np.cumsum(a[:-1], axis=0, out=out[1:])
+    return out
+
+
+def _after(a):
+    """Sums of the rows of ``a`` after each row: out[k] = sum(a[k+1:])."""
+    out = np.zeros_like(a)
+    out[:-1] = np.cumsum(a[:0:-1], axis=0)[::-1]
+    return out
+
+
+def _scatter(index, size: int, vals):
+    """Sum the rows of ``vals`` into a ``size``-row array at rows ``index``."""
+    d = vals.shape[1]
+    flat = (index[:, None] * d + np.arange(d)).ravel()
+    return np.bincount(flat, weights=vals.ravel(), minlength=size * d).reshape(size, d)
+
+
+class _StructuredLoss:
+    """The same loss with no N x M array but the split's constant X.
+
+    With H the held-out cells and P = U V^T, the fit term is
+    ||X - P||^2 - sum_H (x - p)^2, and ||X - P||^2 = nnz - 2<U, X V> +
+    <U^T U, V^T V> (Hu, Koren & Volinsky, ICDM 2008).  Row i of G^2 is
+    omega_k: 1 at the row's onset k, h_j^2 at each later column j and 0
+    before.  So the consistency term is a quadratic in each u_i with the
+    coefficients of its onset group k, ``wv[k]`` = sum_j omega_kj v_j and
+    ``wvv[k]`` = sum_j omega_kj v_j v_j^T, and a quadratic in each v_j with
+    ``wu[j]`` = sum_i omega_{k_i j} u_i and ``wuu[j]`` = sum_i omega_{k_i j} u_i u_i^T.
+
+    ``moved_u`` and ``moved_v`` recompute what depends on the factor that
+    changed (X^T U or X V, the Gramians, p on H, the group sums), and the
+    objective and the next half-step share it.
+    """
+
+    def __init__(self, x: SparseBinaryMatrix, masks: StructuredMasks, cfg: TrainConfig):
+        self.cfg = cfg
+        self.x, self.nnz = masks.x, x.nnz
+        m = masks.shape[1]
+        held = masks.held_out
+        self.hr, self.hc = held.row, held.col
+        self.xh = self.x[self.hr, self.hc]
+        if cfg.mu == 0.0:
+            return
+        onset = masks.onset
+        h = _ramp(m)
+        self.h2 = h * h
+        # Rows with an onset, sorted by it; each group is (onset, start, end) in that order.
+        order = np.argsort(onset, kind="stable")
+        order = order[onset[order] < m]
+        first = onset[order]
+        starts = np.flatnonzero(np.diff(first, prepend=-1))
+        ends = np.append(starts[1:], first.size)
+        self.order = order
+        self.groups = list(zip(first[starts].tolist(), starts.tolist(), ends.tolist()))
+        count = np.bincount(first, minlength=m).astype(float)
+        # sum_k omega_kj n_k: the consistency term's constant part, per column.
+        self.c0 = float(np.sum(count + self.h2 * _before(count)))
+
+    def _held_residual(self, u, v) -> None:
+        self.r = self.xh - np.einsum("ij,ij->i", u[self.hr], v[self.hc])
+
+    def moved_u(self, u, v) -> None:
+        self.utu, self.xtu = u.T @ u, self.x.T @ u
+        self._held_residual(u, v)
+        if self.cfg.mu == 0.0:
+            return
+        m, d = v.shape
+        us = u[self.order]
+        su, s = np.zeros((m, d)), np.zeros((m, d, d))
+        for k, a, b in self.groups:
+            su[k] = us[a:b].sum(axis=0)
+            s[k] = us[a:b].T @ us[a:b]
+        # Column j sums its own group and, weighted h_j^2, every earlier one.
+        self.wu = su + self.h2[:, None] * _before(su)
+        self.wuu = s + self.h2[:, None, None] * _before(s)
+
+    def moved_v(self, u, v) -> None:
+        self.vtv, self.xv = v.T @ v, self.x @ v
+        self._held_residual(u, v)
+        if self.cfg.mu == 0.0:
+            return
+        vv = np.einsum("ja,jb->jab", v, v)
+        # Group k takes its own column and, weighted h_j^2, every later one.
+        self.wv = v + _after(self.h2[:, None] * v)
+        self.wvv = vv + _after(self.h2[:, None, None] * vv)
+
+    def moved(self, u, v) -> None:
+        self.moved_u(u, v)
+        self.moved_v(u, v)
+
+    def objective(self, u, v) -> float:
+        c = self.cfg
+        fit = self.nnz - 2.0 * np.vdot(u, self.xv) + np.vdot(self.utu, self.vtv) - _sq(self.r)
+        total = float(fit + c.gamma1 * np.trace(self.utu) + c.gamma2 * np.trace(self.vtv))
+        if c.mu != 0.0:
+            quad = np.einsum("ja,jab,jb->", v, self.wuu, v)
+            total += c.mu * float(self.c0 - 2.0 * np.vdot(v, self.wu) + quad)
+        return total
+
+    def grad_u(self, u, v):
+        c = self.cfg
+        held = _scatter(self.hr, u.shape[0], self.r[:, None] * v[self.hc])
+        grad = -2.0 * (self.xv - u @ self.vtv - held) + 2.0 * c.gamma1 * u
+        if c.mu != 0.0 and self.groups:
+            us = u[self.order]
+            term = np.concatenate([us[a:b] @ self.wvv[k] - self.wv[k] for k, a, b in self.groups])
+            grad[self.order] += 2.0 * c.mu * term
+        return grad
+
+    def grad_v(self, u, v):
+        c = self.cfg
+        held = _scatter(self.hc, v.shape[0], self.r[:, None] * u[self.hr])
+        grad = -2.0 * (self.xtu - v @ self.utu - held) + 2.0 * c.gamma2 * v
+        if c.mu != 0.0:
+            grad -= 2.0 * c.mu * (self.wu - np.einsum("jab,jb->ja", self.wuu, v))
+        return grad
+
+
+def _loss(x: SparseBinaryMatrix, masks, cfg: TrainConfig):
+    if masks.shape != x.shape:
+        raise ValueError(f"masks: shape mismatch {masks.shape} vs {x.shape}")
+    if isinstance(masks, StructuredMasks):
+        return _StructuredLoss(x, masks, cfg)
+    return _DenseLoss(x, masks, cfg)
+
+
+def _at(x: SparseBinaryMatrix, masks, factors: FactorPair, cfg: TrainConfig):
+    """The loss of (x, masks, cfg), moved to ``factors``, and their arrays."""
+    loss = _loss(x, masks, cfg)
     n, m = x.shape
     if factors.u.rows != n or factors.v.rows != m:
         raise ValueError(
             f"factors sized {factors.u.rows}x{factors.v.rows} do not match matrix {n}x{m}"
         )
-    ua, va = factors.u.data, factors.v.data
-    return x.to_array(), masks.w.data, masks.g.data, ua @ va.T, ua, va
+    u, v = factors.u.data, factors.v.data
+    loss.moved(u, v)
+    return loss, u, v
 
 
 def objective(
-    x: SparseBinaryMatrix, masks: MaskPair, factors: FactorPair, cfg: TrainConfig
+    x: SparseBinaryMatrix, masks: MaskPair | StructuredMasks, factors: FactorPair, cfg: TrainConfig
 ) -> float:
     """Value of the regularized loss at the given factors."""
-    xa, wa, ga, pa, ua, va = _unpack(x, masks, factors)
-    return _objective_arrays(xa, wa, ga, pa, ua, va, cfg.gamma1, cfg.gamma2, cfg.mu)
+    loss, u, v = _at(x, masks, factors, cfg)
+    return loss.objective(u, v)
 
 
 def grad_u(
-    x: SparseBinaryMatrix, masks: MaskPair, factors: FactorPair, cfg: TrainConfig
+    x: SparseBinaryMatrix, masks: MaskPair | StructuredMasks, factors: FactorPair, cfg: TrainConfig
 ) -> DenseMatrix:
     """Exact gradient of the loss with respect to U."""
-    xa, wa, ga, pa, ua, va = _unpack(x, masks, factors)
-    return DenseMatrix(_grad_arrays(xa, wa, ga, pa, ua, va, cfg.gamma1, cfg.mu))
+    loss, u, v = _at(x, masks, factors, cfg)
+    return DenseMatrix(loss.grad_u(u, v))
 
 
 def grad_v(
-    x: SparseBinaryMatrix, masks: MaskPair, factors: FactorPair, cfg: TrainConfig
+    x: SparseBinaryMatrix, masks: MaskPair | StructuredMasks, factors: FactorPair, cfg: TrainConfig
 ) -> DenseMatrix:
     """Exact gradient of the loss with respect to V."""
-    xa, wa, ga, pa, ua, va = _unpack(x, masks, factors)
-    return DenseMatrix(_grad_arrays(xa.T, wa.T, ga.T, pa.T, va, ua, cfg.gamma2, cfg.mu))
+    loss, u, v = _at(x, masks, factors, cfg)
+    return DenseMatrix(loss.grad_v(u, v))
 
 
 def _init_factors(n: int, m: int, d: int, seed: int):
@@ -166,7 +333,7 @@ def _init_factors(n: int, m: int, d: int, seed: int):
 
 
 def train(
-    x: SparseBinaryMatrix, masks: MaskPair, cfg: TrainConfig | None = None
+    x: SparseBinaryMatrix, masks: MaskPair | StructuredMasks, cfg: TrainConfig | None = None
 ) -> tuple[FactorPair, TrainTrace]:
     """Run alternating projected gradient descent until the loss stabilizes.
 
@@ -176,31 +343,32 @@ def train(
     value is kept separately).  Stops once the relative objective change drops
     below ``rel_tol`` or after ``max_iters`` iterations, whichever comes first.
 
+    A ``MaskPair`` is evaluated over dense N x M arrays, the reference route.
+    ``StructuredMasks`` (built from ``x``) take the structured route, which
+    holds no N x M array but the masks' X and agrees with the reference to
+    rounding.
+
     Raises FloatingPointError if the objective stops being finite, naming the
     iteration at which that happened.
     """
     cfg = cfg if cfg is not None else TrainConfig()
-    if masks.w.shape != x.shape:
-        raise ValueError(f"masks: shape mismatch {masks.w.shape} vs {x.shape}")
+    loss = _loss(x, masks, cfg)
     n, m = x.shape
-    xa, wa, ga = x.to_array(), masks.w.data, masks.g.data
     u, v = _init_factors(n, m, cfg.d, cfg.seed)
     lr = cfg.learning_rate
 
-    # p is always u v^T for the current factors: each half-step and the
-    # objective read it, and it is rebuilt once after each factor changes.
-    p = u @ v.T
-    prev = _objective_arrays(xa, wa, ga, p, u, v, cfg.gamma1, cfg.gamma2, cfg.mu)
+    loss.moved(u, v)
+    prev = loss.objective(u, v)
     initial = prev
     trace: list[float] = []
     converged = False
     for it in range(1, cfg.max_iters + 1):
-        u = np.maximum(0.0, u - lr * _grad_arrays(xa, wa, ga, p, u, v, cfg.gamma1, cfg.mu))
-        p = u @ v.T
-        v = np.maximum(0.0, v - lr * _grad_arrays(xa.T, wa.T, ga.T, p.T, v, u, cfg.gamma2, cfg.mu))
-        p = u @ v.T
+        u = np.maximum(0.0, u - lr * loss.grad_u(u, v))
+        loss.moved_u(u, v)
+        v = np.maximum(0.0, v - lr * loss.grad_v(u, v))
+        loss.moved_v(u, v)
 
-        cur = _objective_arrays(xa, wa, ga, p, u, v, cfg.gamma1, cfg.gamma2, cfg.mu)
+        cur = loss.objective(u, v)
         if not math.isfinite(cur):
             raise FloatingPointError(
                 f"objective became non-finite ({cur}) at iteration {it}; "

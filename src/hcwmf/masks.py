@@ -15,7 +15,15 @@ import numpy as np
 
 from .linalg import DenseMatrix, SparseBinaryMatrix, _check_in_shape, _coords
 
-__all__ = ["HeldOutSet", "MaskPair", "build_indicator", "build_attenuation", "build_masks"]
+__all__ = [
+    "HeldOutSet",
+    "MaskPair",
+    "StructuredMasks",
+    "build_indicator",
+    "build_attenuation",
+    "build_masks",
+    "build_structured_masks",
+]
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,6 +70,33 @@ class MaskPair:
         if self.w.shape != self.g.shape:
             raise ValueError(f"mask shape mismatch {self.w.shape} vs {self.g.shape}")
 
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.w.shape
+
+
+@dataclass(frozen=True, eq=False)
+class StructuredMasks:
+    """The masks of one split without their dense arrays, plus the dense X.
+
+    W is 1 except on ``held_out``, and row i of G is the attenuation ramp
+    anchored at ``onset[i]`` (M for a row with no training positive), so
+    neither is stored.  ``x`` is the training matrix as one read-only dense
+    float64 array, built once and shared by every fit of the split.
+    """
+
+    held_out: HeldOutSet
+    onset: np.ndarray
+    x: np.ndarray
+
+    def __post_init__(self):
+        if self.x.ndim != 2 or self.onset.shape != (self.x.shape[0],):
+            raise ValueError(f"onset of shape {self.onset.shape} does not fit x of shape {self.x.shape}")
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.x.shape
+
 
 def build_indicator(shape: tuple[int, int], held_out: HeldOutSet) -> DenseMatrix:
     """All-ones indicator with held-out cells zeroed.
@@ -76,6 +111,19 @@ def build_indicator(shape: tuple[int, int], held_out: HeldOutSet) -> DenseMatrix
     return DenseMatrix(w)
 
 
+def _onsets(x_train: SparseBinaryMatrix) -> np.ndarray:
+    """Each row's first training column, M for a row with none."""
+    n, m = x_train.shape
+    onset = np.full(n, m)
+    np.minimum.at(onset, x_train.row, x_train.col)
+    return onset
+
+
+def _ramp(m: int) -> np.ndarray:
+    """The attenuation 1 - 1/(M - c) of each column c after a row's onset."""
+    return 1.0 - 1.0 / (m - np.arange(m))
+
+
 def build_attenuation(x_train: SparseBinaryMatrix) -> DenseMatrix:
     """Per-row time-decay ramp anchored at each row's first training positive.
 
@@ -85,11 +133,10 @@ def build_attenuation(x_train: SparseBinaryMatrix) -> DenseMatrix:
     positive stay all-zero: with no observed adoption there is no anchor time
     for the ramp.  Later positives in a row do not restart the ramp.
     """
-    n, m = x_train.shape
-    onset = np.full(n, m)
-    np.minimum.at(onset, x_train.row, x_train.col)
+    m = x_train.cols
+    onset = _onsets(x_train)
     cols = np.arange(m)
-    g = np.where(cols > onset[:, None], 1.0 - 1.0 / (m - cols), 0.0)
+    g = np.where(cols > onset[:, None], _ramp(m), 0.0)
     g[cols == onset[:, None]] = 1.0
     return DenseMatrix(g)
 
@@ -100,3 +147,17 @@ def build_masks(x_train: SparseBinaryMatrix, held_out: HeldOutSet) -> MaskPair:
         w=build_indicator(x_train.shape, held_out),
         g=build_attenuation(x_train),
     )
+
+
+def build_structured_masks(x_train: SparseBinaryMatrix, held_out: HeldOutSet) -> StructuredMasks:
+    """The masks of ``build_masks`` in structured form, with the dense training matrix.
+
+    The dense matrix is allocated before anything else of size N or M, so a
+    shape too large to hold fails at once.
+    """
+    _check_in_shape(held_out.row, held_out.col, x_train.shape, "held-out cell")
+    x = x_train.to_array()
+    x.flags.writeable = False
+    onset = _onsets(x_train)
+    onset.flags.writeable = False
+    return StructuredMasks(held_out=held_out, onset=onset, x=x)

@@ -13,10 +13,12 @@ from hcwmf import (
     HeldOutSet,
     MaskPair,
     SparseBinaryMatrix,
+    StructuredMasks,
     SynthConfig,
     TrainConfig,
     bin_records,
     build_masks,
+    build_structured_masks,
     generate_synthetic,
     grad_u,
     grad_v,
@@ -315,6 +317,58 @@ class TestTrain:
     def test_mask_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape mismatch"):
             train(SparseBinaryMatrix(2, 3, []), ONES_1x1, TrainConfig(d=1))
+
+
+def _split_instance(rng, n, m, density, held_share):
+    """(x_train, held): random positives with a share of them held out."""
+    cells = np.argwhere(rng.random((n, m)) < density)
+    held = rng.random(len(cells)) < held_share
+    return SparseBinaryMatrix(n, m, cells[~held]), HeldOutSet.of(cells[held])
+
+
+class TestStructuredTrain:
+    """``train`` on StructuredMasks against the dense reference route."""
+
+    @pytest.mark.parametrize("mu", [0.0, 0.2])
+    def test_matches_dense_route(self, mu):
+        x_train, held = _split_instance(np.random.default_rng(21), 40, 30, 0.2, 0.3)
+        cfg = TrainConfig(d=3, mu=mu, learning_rate=0.005, max_iters=150, rel_tol=1e-30, seed=5)
+        fd, td = train(x_train, build_masks(x_train, held), cfg)
+        fs, ts = train(x_train, build_structured_masks(x_train, held), cfg)
+        assert ts.iterations_run == td.iterations_run == 150
+        np.testing.assert_allclose(ts.initial_objective, td.initial_objective, rtol=1e-10)
+        np.testing.assert_allclose(ts.objective_per_iter, td.objective_per_iter, rtol=1e-10)
+        for got, want in ((fs.u.data, fd.u.data), (fs.v.data, fd.v.data)):
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
+
+    def test_divergence_raises_with_iteration(self):
+        x = SparseBinaryMatrix(4, 4, {(i, j) for i in range(4) for j in range(4)})
+        masks = build_structured_masks(x, HeldOutSet.of([(0, 0)]))
+        cfg = TrainConfig(d=2, learning_rate=1e160, max_iters=50, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # numpy overflow chatter
+            with pytest.raises(FloatingPointError, match="iteration"):
+                train(x, masks, cfg)
+
+    def test_mask_shape_mismatch_rejected(self):
+        masks = build_structured_masks(SparseBinaryMatrix(2, 2, []), HeldOutSet.of([]))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            train(SparseBinaryMatrix(2, 3, []), masks, TrainConfig(d=1))
+
+    def test_peak_memory_beyond_the_masks_x(self):
+        # No N x M array but the masks' X, which is built before tracing.
+        n, m = 2000, 100
+        x_train, held = _split_instance(np.random.default_rng(22), n, m, 0.1, 0.3)
+        masks = build_structured_masks(x_train, held)
+        assert isinstance(masks, StructuredMasks)
+        cfg = TrainConfig(d=5, mu=0.2, max_iters=5, rel_tol=1e-30)
+        tracemalloc.start()
+        try:
+            train(x_train, masks, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / (n * m * 8) <= 1.5
 
 
 class TestPredict:

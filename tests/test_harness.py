@@ -12,13 +12,17 @@ from hcwmf import (
     ResultsTable,
     SparseBinaryMatrix,
     SplitSpec,
+    StructuredMasks,
     SynthConfig,
     TrainConfig,
     bin_records,
+    build_masks,
     generate_synthetic,
+    predict,
     rmse,
     run_sweep,
     split_mask,
+    train,
 )
 
 
@@ -198,6 +202,26 @@ class TestRunSweep:
         for r in one.rows:
             assert r.rmse is not None
             assert score[(r.method, r.fraction, 2)] == score[(r.method, r.fraction, 3)] == r.rmse
+
+    def test_factorizations_match_a_dense_route_replay(self, monkeypatch):
+        # Each fit of the sweep, replayed on the dense masks and scored from
+        # the full U V^T, gives the same RMSE to 1e-12.
+        fits = []
+
+        def recording(x_train, masks, cfg):
+            fits.append((x_train, masks, cfg))
+            return train(x_train, masks, cfg)
+
+        monkeypatch.setattr(harness, "train", recording)
+        x = _random_matrix(np.random.default_rng(55), 30, 20, 200)
+        table = run_sweep(x, ["hcwmf", "wmf"], [20.0, 40.0], [2, 3], TrainConfig(max_iters=100, seed=4))
+        assert len(fits) == len(table.rows) == 8
+        for (x_train, masks, cfg), row in zip(fits, table.rows):
+            assert isinstance(masks, StructuredMasks)
+            held = masks.held_out
+            factors, _ = train(x_train, build_masks(x_train, held), cfg)
+            want = rmse(predict(factors).data[held.row, held.col], np.ones(len(held)))
+            assert row.rmse == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(52)

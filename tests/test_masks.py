@@ -8,9 +8,11 @@ from hcwmf import (
     HeldOutSet,
     MaskPair,
     SparseBinaryMatrix,
+    StructuredMasks,
     build_attenuation,
     build_indicator,
     build_masks,
+    build_structured_masks,
 )
 
 
@@ -132,3 +134,30 @@ class TestMaskPair:
         masks = build_masks(x_train, held)
         assert masks.g[0, 0] == 0.0
         assert masks.g[0, 2] == 1.0
+
+
+class TestStructuredMasks:
+    def test_holds_the_held_out_set_onsets_and_dense_x(self):
+        x_train = SparseBinaryMatrix(3, 4, [(0, 2), (0, 3), (2, 0)])
+        held = HeldOutSet.of([(1, 1), (0, 0)])
+        masks = build_structured_masks(x_train, held)
+        assert masks.held_out == held
+        assert masks.onset.tolist() == [2, 4, 0]
+        np.testing.assert_array_equal(masks.x, x_train.to_array())
+        assert masks.shape == (3, 4) == build_masks(x_train, held).shape
+        assert not masks.x.flags.writeable and not masks.onset.flags.writeable
+
+    def test_onset_anchors_the_dense_ramp(self):
+        rng = np.random.default_rng(19)
+        x_train = SparseBinaryMatrix(30, 9, np.argwhere(rng.random((30, 9)) < 0.2))
+        g = build_attenuation(x_train).data
+        for i, k in enumerate(build_structured_masks(x_train, HeldOutSet.of([])).onset):
+            assert (g[i] == 1.0).tolist() == [j == k for j in range(9)]
+
+    def test_out_of_range_cell_rejected(self):
+        with pytest.raises(ValueError, match="out of range"):
+            build_structured_masks(SparseBinaryMatrix(2, 2, []), HeldOutSet.of([(0, 2)]))
+
+    def test_onset_must_fit_x(self):
+        with pytest.raises(ValueError, match="does not fit"):
+            StructuredMasks(held_out=HeldOutSet.of([]), onset=np.zeros(3, dtype=int), x=np.zeros((2, 2)))

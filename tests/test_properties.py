@@ -1,8 +1,9 @@
-"""Property tests pinning the coordinate-array storage to tuple-set semantics.
+"""Property tests pinning fast paths to their plain references.
 
 Sparse matrices and held-out sets store their cells as sorted int64
-coordinate arrays.  Each property checks one consumer of those arrays against
-a plain-Python oracle over sets of (row, col) tuples.
+coordinate arrays.  Each storage property checks one consumer of those arrays
+against a plain-Python oracle over sets of (row, col) tuples.  The structured
+loss is checked against the dense reference kernels.
 """
 
 import math
@@ -10,16 +11,24 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hcwmf import (
+    DenseMatrix,
+    FactorPair,
     HeldOutSet,
     SparseBinaryMatrix,
     SplitSpec,
+    TrainConfig,
     build_attenuation,
+    build_masks,
+    build_structured_masks,
     fit_markov,
+    grad_u,
+    grad_v,
     load_matrix_csv,
+    objective,
     predict_markov,
     save_matrix_csv,
     split_mask,
@@ -152,3 +161,57 @@ def test_markov_from_coordinates_matches_dense_oracle(case):
     arr = x_train.to_array()
     expected = [by_state[int(arr[r, c - 1])] if c > 0 else by_state[0] for r, c in held]
     assert _markov_predictions(x_train, held).tolist() == expected
+
+
+@st.composite
+def loss_problems(draw):
+    """(x_train, held, factors, cfg) with n, m <= 8 and d <= 3.
+
+    Held-out cells are positives taken out of training, with every positive
+    of one row among them when ``whole_row`` is drawn, plus cells anywhere
+    (training positives and zeros alike).
+    """
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(1, 8))
+    d = draw(st.integers(1, 3))
+    cell = st.tuples(st.integers(0, n - 1), st.integers(0, m - 1))
+    positives = draw(st.sets(cell, max_size=30))
+    taken = draw(st.sets(st.sampled_from(sorted(positives)))) if positives else set()
+    if positives and draw(st.booleans()):
+        row = draw(st.sampled_from(sorted(positives)))[0]
+        taken |= {(r, c) for r, c in positives if r == row}
+    held = taken | draw(st.sets(cell, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    factors = FactorPair(u=DenseMatrix(rng.random((n, d))), v=DenseMatrix(rng.random((m, d))))
+    cfg = TrainConfig(
+        d=d,
+        gamma1=draw(st.sampled_from([0.0, 0.2])),
+        gamma2=draw(st.sampled_from([0.0, 0.3])),
+        mu=draw(st.sampled_from([0.0, 0.2, 1.5])),
+    )
+    return SparseBinaryMatrix(n, m, positives - taken), HeldOutSet.of(held), factors, cfg
+
+
+def _one(n, m, cells, held, mu):
+    rng = np.random.default_rng(0)
+    factors = FactorPair(u=DenseMatrix(rng.random((n, 2))), v=DenseMatrix(rng.random((m, 2))))
+    return SparseBinaryMatrix(n, m, cells), HeldOutSet.of(held), factors, TrainConfig(d=2, mu=mu)
+
+
+@settings(deadline=None)
+@given(loss_problems())
+@example(_one(3, 1, [(0, 0), (2, 0)], [(1, 0)], 0.2))  # m = 1
+@example(_one(3, 4, [(0, 1), (0, 3), (2, 0)], [], 0.2))  # no held-out cell, an empty row
+@example(_one(3, 4, [(0, 1), (2, 0)], [(1, 1), (1, 2), (2, 3)], 0.2))  # row 1 all held out
+@example(_one(3, 4, [(0, 1), (2, 0)], [(1, 1), (1, 2), (2, 3)], 0.0))
+def test_structured_loss_matches_dense_reference(case):
+    # rtol 1e-12 on each value; gradient entries near zero after cancellation
+    # are held to the same 1e-12 relative to the gradient's largest entry.
+    x_train, held, factors, cfg = case
+    dense, structured = build_masks(x_train, held), build_structured_masks(x_train, held)
+    want = objective(x_train, dense, factors, cfg)
+    assert math.isclose(objective(x_train, structured, factors, cfg), want, rel_tol=1e-12, abs_tol=1e-12)
+    for kernel in (grad_u, grad_v):
+        want = kernel(x_train, dense, factors, cfg).data
+        got = kernel(x_train, structured, factors, cfg).data
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max(initial=1.0))
