@@ -30,6 +30,9 @@ __all__ = [
     "save_cumulative_csv",
 ]
 
+# On a stripped line, raw_decode succeeding up to the line's end is exactly json.loads.
+_raw_decode = json.JSONDecoder().raw_decode
+
 
 def _event_problem(user, hashtag, ts) -> str | None:
     """Why (user, hashtag, ts) is not a valid event, or None when it is."""
@@ -123,8 +126,10 @@ def parse_records(stream) -> tuple[AdoptionRecords, int]:
         if not line:
             continue
         try:
-            obj = json.loads(line)
+            obj, end = _raw_decode(line)
         except json.JSONDecodeError:
+            end = None
+        if end != len(line):
             warnings.warn(f"line {lineno}: not valid JSON, skipped", stacklevel=2)
             skipped += 1
             continue

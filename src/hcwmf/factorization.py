@@ -170,11 +170,15 @@ def _after(a):
     return out
 
 
-def _scatter(index, size: int, vals):
-    """Sum the rows of ``vals`` into a ``size``-row array at rows ``index``."""
-    d = vals.shape[1]
-    flat = (index[:, None] * d + np.arange(d)).ravel()
-    return np.bincount(flat, weights=vals.ravel(), minlength=size * d).reshape(size, d)
+def _held_sum(r, a, gather, scatter, size: int):
+    """Sum the rows of ``r[:, None] * a[gather]`` into a ``size``-row array at rows ``scatter``."""
+    # Gathered transposed, each column is one contiguous weights array for bincount.
+    cols = np.take(a.T, gather, axis=1)
+    cols *= r
+    out = np.empty((size, a.shape[1]))
+    for k, col in enumerate(cols):
+        out[:, k] = np.bincount(scatter, weights=col, minlength=size)
+    return out
 
 
 class _StructuredLoss:
@@ -261,7 +265,7 @@ class _StructuredLoss:
 
     def grad_u(self, u, v):
         c = self.cfg
-        held = _scatter(self.hr, u.shape[0], self.r[:, None] * v[self.hc])
+        held = _held_sum(self.r, v, self.hc, self.hr, u.shape[0])
         grad = -2.0 * (self.xv - u @ self.vtv - held) + 2.0 * c.gamma1 * u
         if c.mu != 0.0 and self.groups:
             us = u[self.order]
@@ -271,7 +275,7 @@ class _StructuredLoss:
 
     def grad_v(self, u, v):
         c = self.cfg
-        held = _scatter(self.hc, v.shape[0], self.r[:, None] * u[self.hr])
+        held = _held_sum(self.r, u, self.hr, self.hc, v.shape[0])
         grad = -2.0 * (self.xtu - v @ self.utu - held) + 2.0 * c.gamma2 * v
         if c.mu != 0.0:
             grad -= 2.0 * c.mu * (self.wu - np.einsum("jab,jb->ja", self.wuu, v))

@@ -12,6 +12,7 @@ runtime.
 import math
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -70,27 +71,28 @@ def build_consistency_vectors(records: AdoptionRecords, seed: int) -> Consistenc
     other user, so the result is reproducible from the seed.  Requires at
     least two users (no partner exists otherwise) and two hashtags.
     """
-    usage: dict[str, Counter] = {}
-    for user, hashtag, _ in records:
-        usage.setdefault(user, Counter())[hashtag] += 1
-    users = sorted(usage)
+    pair_counts = Counter(map(itemgetter(0, 1), records))
+    # Each user's distinct hashtags as a list: a list per user costs far less
+    # memory than a set, and the loop below builds one small set at a time.
+    tags: dict[str, list] = {}
+    for user, hashtag in pair_counts:
+        tags.setdefault(user, []).append(hashtag)
+    repeated = Counter(user for (user, _), n in pair_counts.items() if n >= 2)
+    users = sorted(tags)
     if len(users) < 2:
         raise ValueError(f"need at least 2 users to pair, got {len(users)}")
-    all_tags = set()
-    for counts in usage.values():
-        all_tags.update(counts)
+    all_tags = {hashtag for _, hashtag in pair_counts}
     if len(all_tags) < 2:
         raise ValueError(f"need at least 2 hashtags, got {len(all_tags)}")
-    tag_sets = {u: frozenset(usage[u]) for u in users}
     rng = np.random.default_rng(seed)
     hc_u = []
     hc_r = []
     for i, u in enumerate(users):
-        hc_u.append(sum(1 for n in usage[u].values() if n >= 2))
+        hc_u.append(repeated[u])
         j = int(rng.integers(0, len(users) - 1))
         if j >= i:
             j += 1
-        hc_r.append(len(tag_sets[u] & tag_sets[users[j]]))
+        hc_r.append(len(set(tags[u]).intersection(tags[users[j]])))
     return ConsistencyVectors(hc_u=tuple(hc_u), hc_r=tuple(hc_r))
 
 

@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from hcwmf import ResultsTable, load_matrix_csv, parse_records
-from hcwmf.cli import build_parser, main
+from hcwmf import DenseMatrix, ResultsTable, load_matrix_csv, parse_records
+from hcwmf.cli import _write_factor_csv, build_parser, main
 
 
 def _run(capsys, *argv):
@@ -129,6 +129,11 @@ class TestTrain:
         u = float((tmp_path / "f_u.csv").read_text().strip())
         v = float((tmp_path / "f_v.csv").read_text().strip())
         assert abs(u * v - 1.0) < 1e-2
+
+    def test_factor_csv_bytes(self, tmp_path):
+        path = tmp_path / "f.csv"
+        _write_factor_csv(DenseMatrix([[0.0, 1e-05], [0.1, 1e16]]), path)
+        assert path.read_bytes() == b"0.0,1e-05\n0.1,1e+16\n"
 
 
 class TestEval:

@@ -1,7 +1,9 @@
 """Tests for record parsing, binning, serialization, and the generator."""
 
 import io
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -98,6 +100,25 @@ class TestParseRecords:
     def test_rejects_non_iterable_input(self):
         with pytest.raises(ValueError, match="line by line"):
             parse_records(42)
+
+    def test_lines_that_decode_only_when_joined_are_all_skipped(self):
+        # No line is JSON on its own, but "[" + ",".join(lines) + "]" decodes
+        # to three valid records, one per line: a whole-file decode checked by
+        # its object count would accept them.
+        lines = (
+            '{"user":"u","hashtag":"h","ts":1},{"user":"u","hashtag":"h","ts":2}',
+            '{"user":"x","hashtag":"h","ts":3,"k":[{}',
+            "{}]}",
+        )
+        joined = json.loads("[" + ",".join(lines) + "]")
+        assert [(o["user"], o["ts"]) for o in joined] == [("u", 1), ("u", 2), ("x", 3)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            recs, skipped = parse_records(_lines(*lines))
+        assert len(recs) == 0 and skipped == 3
+        assert [str(w.message) for w in caught] == [
+            f"line {k}: not valid JSON, skipped" for k in (1, 2, 3)
+        ]
 
 
 class TestWriteRecords:

@@ -27,6 +27,7 @@ from hcwmf import (
     predict,
     train,
 )
+from hcwmf import factorization
 
 ONE_CELL = SparseBinaryMatrix(1, 1, {(0, 0)})
 ONES_1x1 = MaskPair(w=DenseMatrix(np.ones((1, 1))), g=DenseMatrix(np.ones((1, 1))))
@@ -354,6 +355,25 @@ class TestStructuredTrain:
         masks = build_structured_masks(SparseBinaryMatrix(2, 2, []), HeldOutSet.of([]))
         with pytest.raises(ValueError, match="shape mismatch"):
             train(SparseBinaryMatrix(2, 3, []), masks, TrainConfig(d=1))
+
+    def test_held_out_scatter_matches_flat_index_bit_for_bit(self, monkeypatch):
+        def flat_index_sum(r, a, gather, scatter, size):
+            # Reference: one bincount over the flattened (row, column) index.
+            vals = r[:, None] * a[gather]
+            d = vals.shape[1]
+            flat = (scatter[:, None] * d + np.arange(d)).ravel()
+            return np.bincount(flat, weights=vals.ravel(), minlength=size * d).reshape(size, d)
+
+        x_train, held = _split_instance(np.random.default_rng(23), 300, 48, 0.15, 0.3)
+        masks = build_structured_masks(x_train, held)
+        cfg = TrainConfig(d=6, mu=0.2, max_iters=10, rel_tol=1e-30, seed=4)
+        factors, trace = train(x_train, masks, cfg)
+        monkeypatch.setattr(factorization, "_held_sum", flat_index_sum)
+        want_factors, want_trace = train(x_train, masks, cfg)
+        assert trace.iterations_run == 10
+        assert trace == want_trace
+        assert np.array_equal(factors.u.data, want_factors.u.data)
+        assert np.array_equal(factors.v.data, want_factors.v.data)
 
     def test_peak_memory_beyond_the_masks_x(self):
         # No N x M array but the masks' X, which is built before tracing.

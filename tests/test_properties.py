@@ -3,11 +3,15 @@
 Sparse matrices and held-out sets store their cells as sorted int64
 coordinate arrays.  Each storage property checks one consumer of those arrays
 against a plain-Python oracle over sets of (row, col) tuples.  The structured
-loss is checked against the dense reference kernels.
+loss is checked against the dense reference kernels, and the record parser
+against per-line ``json.loads``.
 """
 
+import io
+import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +33,7 @@ from hcwmf import (
     grad_v,
     load_matrix_csv,
     objective,
+    parse_records,
     predict_markov,
     save_matrix_csv,
     split_mask,
@@ -215,3 +220,99 @@ def test_structured_loss_matches_dense_reference(case):
         want = kernel(x_train, dense, factors, cfg).data
         got = kernel(x_train, structured, factors, cfg).data
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max(initial=1.0))
+
+
+def _parse_oracle(lines):
+    """(events, skipped, warning messages): each stripped line through json.loads."""
+    events, skipped, messages = [], 0, []
+    for lineno, raw in enumerate(lines, start=1):
+        if isinstance(raw, bytes):
+            try:
+                raw = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                skipped += 1
+                messages.append(f"line {lineno}: not valid UTF-8, skipped")
+                continue
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError:
+            skipped += 1
+            messages.append(f"line {lineno}: not valid JSON, skipped")
+            continue
+        if (
+            isinstance(obj, dict)
+            and isinstance(obj.get("user"), str)
+            and obj["user"]
+            and isinstance(obj.get("hashtag"), str)
+            and obj["hashtag"]
+            and type(obj.get("ts")) is int
+            and obj["ts"] >= 0
+        ):
+            events.append((obj["user"], obj["hashtag"], obj["ts"]))
+        else:
+            skipped += 1
+            messages.append(f"line {lineno}: malformed record, skipped")
+    return events, skipped, messages
+
+
+_RECORD = '{"user":"a","hashtag":"h","ts":1}'
+_ODD_LINES = [
+    "",
+    "   ",
+    "\t",
+    "\x0b",
+    "\xa0",
+    "\ufeff" + _RECORD,
+    '{"user":"a","hashtag":"h","ts":NaN}',
+    '{"user":"a","hashtag":"h","ts":true}',
+    '{"user":"a","hashtag":"h","ts":1,"ts":-1}',
+    '{"user":"","user":"a","hashtag":"h","ts":2}',
+    _RECORD + " x",
+    _RECORD + "}",
+    "1,2",
+    "{}{}",
+    "1],[2",
+    "[1,2]",
+    "null",
+]
+
+
+@st.composite
+def record_lines(draw):
+    """One line as bytes: a record, an odd line, or either with padding or bad bytes."""
+    kind = draw(st.sampled_from(["record", "odd", "not utf-8"]))
+    if kind != "odd":
+        obj = {
+            "user": draw(st.text(max_size=4)),
+            "hashtag": draw(st.text(max_size=3)),
+            "ts": draw(st.integers(-2, 2**40)),
+        }
+        text = json.dumps(obj, ensure_ascii=draw(st.booleans()))
+    else:
+        text = draw(st.sampled_from(_ODD_LINES))
+    pad = st.text(alphabet=" \x0b\xa0", max_size=2)
+    line = (draw(pad) + text + draw(pad)).encode("utf-8")
+    if kind == "not utf-8":
+        cut = draw(st.integers(0, len(line)))
+        line = line[:cut] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"])) + line[cut:]
+    return line
+
+
+@settings(deadline=None)
+@given(st.lists(record_lines(), max_size=12), st.booleans())
+def test_parse_records_matches_per_line_json_loads(lines, as_text):
+    data = b"".join(line + b"\n" for line in lines)
+    if as_text:
+        stream = io.StringIO(data.decode("utf-8", "replace"), newline="\n")
+    else:
+        stream = io.BytesIO(data)
+    want = _parse_oracle(list(stream))
+    stream.seek(0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        records, skipped = parse_records(stream)
+    assert (list(records.events), skipped, [str(w.message) for w in caught]) == want
+    assert all(w.filename == __file__ for w in caught)

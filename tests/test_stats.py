@@ -1,12 +1,16 @@
 """Tests for the consistency vectors, Welch t-test, and t-tail machinery."""
 
 import math
+import re
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.special
 import scipy.stats
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hcwmf import (
     AdoptionRecords,
@@ -83,6 +87,53 @@ class TestBuildConsistencyVectors:
             build_consistency_vectors(
                 AdoptionRecords.of([("a", "A", 0), ("b", "A", 1)]), seed=0
             )
+
+
+def _nested_counter_vectors(records, seed):
+    """(hc_u, hc_r) from one Counter of hashtags per user, users in sorted order."""
+    usage: dict[str, Counter] = {}
+    for user, hashtag, _ in records:
+        usage.setdefault(user, Counter())[hashtag] += 1
+    users = sorted(usage)
+    if len(users) < 2:
+        raise ValueError(f"need at least 2 users to pair, got {len(users)}")
+    all_tags = set().union(*usage.values())
+    if len(all_tags) < 2:
+        raise ValueError(f"need at least 2 hashtags, got {len(all_tags)}")
+    rng = np.random.default_rng(seed)
+    hc_u, hc_r = [], []
+    for i, u in enumerate(users):
+        hc_u.append(sum(1 for n in usage[u].values() if n >= 2))
+        j = int(rng.integers(0, len(users) - 1))
+        if j >= i:
+            j += 1
+        hc_r.append(len(set(usage[u]) & set(usage[users[j]])))
+    return tuple(hc_u), tuple(hc_r)
+
+
+_USERS = st.sampled_from(
+    ["a", "b", "B", "u10", "u9", "\u00e9", "\u00e9t\u00e9", "\u7528", "\U0001f600"]
+)
+_TAGS = st.sampled_from(["h0", "h1", "#\u00fc", "t"])
+_EVENTS = st.lists(st.tuples(_USERS, _TAGS, st.integers(0, 99)))
+
+
+@settings(deadline=None)
+@given(_EVENTS, st.integers(0, 2**32 - 1))
+# Single-event users and hashtags used by one user only.
+@example([("\u00e9", "h0", 0), ("\u00e9", "h0", 5), ("b", "h1", 1)], 0)
+@example([("a", "h0", 0), ("a", "h1", 1), ("a", "h1", 2), ("\U0001f600", "t", 3)], 7)
+def test_pair_counts_match_nested_counter_oracle(events, seed):
+    records = AdoptionRecords.of(events)
+    try:
+        want = _nested_counter_vectors(records, seed)
+    except ValueError as err:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(err))}$"):
+            build_consistency_vectors(records, seed)
+        return
+    vec = build_consistency_vectors(records, seed)
+    assert (vec.hc_u, vec.hc_r) == want
+    assert all(type(n) is int for n in vec.hc_u + vec.hc_r)
 
 
 class TestWelchTTest:
