@@ -9,6 +9,7 @@ onsets concentrated early, re-adoption probability decaying afterwards.
 
 import json
 import math
+import re
 import warnings
 from dataclasses import dataclass
 
@@ -32,6 +33,15 @@ __all__ = [
 
 # On a stripped line, raw_decode succeeding up to the line's end is exactly json.loads.
 _raw_decode = json.JSONDecoder().raw_decode
+
+# The compact line write_records emits, with ids of printable ASCII other than '"' and '\\'
+# and a ts of at most 18 digits without a leading zero.  On such a line json.loads returns
+# exactly the captured groups (no escapes, no duplicate keys, an int below 2**63), and the
+# event is valid, so neither needs checking.
+_ID = rb'([\x20\x21\x23-\x5b\x5d-\x7e]+)'
+_canonical_record = re.compile(
+    rb'\{"user":"' + _ID + rb'","hashtag":"' + _ID + rb'","ts":(0|[1-9][0-9]{0,17})\}(?:\r?\n)?'
+).fullmatch
 
 
 def _event_problem(user, hashtag, ts) -> str | None:
@@ -58,6 +68,13 @@ class AdoptionRecords:
             problem = _event_problem(*ev)
             if problem:
                 raise ValueError(problem)
+
+    @classmethod
+    def _checked(cls, events: tuple) -> "AdoptionRecords":
+        """Wrap events that are already known to be valid, without checking them again."""
+        records = object.__new__(cls)
+        object.__setattr__(records, "events", events)
+        return records
 
     @classmethod
     def of(cls, events) -> "AdoptionRecords":
@@ -106,7 +123,10 @@ def parse_records(stream) -> tuple[AdoptionRecords, int]:
     Accepts a text or byte stream (anything iterable by line).  Lines that
     are not valid JSON objects with string "user"/"hashtag" and non-negative
     integer "ts" are skipped with a warning and counted, never silently
-    dropped.  Blank lines are ignored without counting.
+    dropped.  Blank lines are ignored without counting.  Each line is read
+    exactly as ``json.loads`` reads it once stripped; a bytes line in the
+    compact form ``write_records`` emits is matched by one regex instead, and
+    its ids are decoded once per parse and shared between events.
     """
     try:
         lines = iter(stream)
@@ -114,8 +134,18 @@ def parse_records(stream) -> tuple[AdoptionRecords, int]:
         raise ValueError(f"stream is not readable line by line: {stream!r}") from None
     events = []
     skipped = 0
+    ids: dict[bytes, str] = {}
     for lineno, raw in enumerate(lines, start=1):
         if isinstance(raw, bytes):
+            canonical = _canonical_record(raw)
+            if canonical:
+                user, hashtag, ts = canonical.groups()
+                if user not in ids:
+                    ids[user] = user.decode("ascii")
+                if hashtag not in ids:
+                    ids[hashtag] = hashtag.decode("ascii")
+                events.append((ids[user], ids[hashtag], int(ts)))
+                continue
             try:
                 raw = raw.decode("utf-8")
             except UnicodeDecodeError:
@@ -127,7 +157,7 @@ def parse_records(stream) -> tuple[AdoptionRecords, int]:
             continue
         try:
             obj, end = _raw_decode(line)
-        except json.JSONDecodeError:
+        except ValueError:  # JSONDecodeError, or an integer beyond int's digit limit
             end = None
         if end != len(line):
             warnings.warn(f"line {lineno}: not valid JSON, skipped", stacklevel=2)
@@ -138,7 +168,7 @@ def parse_records(stream) -> tuple[AdoptionRecords, int]:
             skipped += 1
             continue
         events.append((obj["user"], obj["hashtag"], obj["ts"]))
-    return AdoptionRecords(tuple(events)), skipped
+    return AdoptionRecords._checked(tuple(events)), skipped
 
 
 def write_records(records: AdoptionRecords, path) -> None:
@@ -171,7 +201,11 @@ def bin_records(
     users = sorted({user for user, _ in tagged})
     row_of = {u: i for i, u in enumerate(users)}
     rows = np.fromiter((row_of[u] for u, _ in tagged), dtype=np.int64, count=len(tagged))
-    ts = np.fromiter((t for _, t in tagged), dtype=np.int64, count=len(tagged))
+    try:
+        ts = np.fromiter((t for _, t in tagged), dtype=np.int64, count=len(tagged))
+    except OverflowError:
+        big = next(t for _, t in tagged if t >= 2**63)
+        raise ValueError(f"timestamp {big} is too large: timestamps must be below 2**63") from None
     bins = (ts - min_ts) // bin_seconds
     max_bin = int(bins.max())
     if m is None:

@@ -97,6 +97,22 @@ class TestParseRecords:
         recs, skipped = parse_records(io.BytesIO(b'{"user":"a","hashtag":"X","ts":3}\n'))
         assert recs.events == (("a", "X", 3),) and skipped == 0
 
+    @pytest.mark.parametrize("as_bytes", [False, True])
+    def test_integer_beyond_the_digit_limit_is_invalid_json(self, as_bytes):
+        # json.loads refuses an int of more than 4300 digits with a plain
+        # ValueError; one such line must be skipped, not abort the parse.
+        text = _lines(
+            '{"user":"a","hashtag":"X","ts":1}',
+            '{"user":"a","hashtag":"X","ts":' + "7" * 4301 + "}",
+            '{"user":"b","hashtag":"X","ts":2}',
+        ).getvalue()
+        stream = io.BytesIO(text.encode()) if as_bytes else io.StringIO(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            recs, skipped = parse_records(stream)
+        assert recs.events == (("a", "X", 1), ("b", "X", 2)) and skipped == 1
+        assert [str(w.message) for w in caught] == ["line 2: not valid JSON, skipped"]
+
     def test_rejects_non_iterable_input(self):
         with pytest.raises(ValueError, match="line by line"):
             parse_records(42)
@@ -130,13 +146,15 @@ class TestWriteRecords:
         )
 
     def test_round_trip(self, tmp_path):
-        records = generate_synthetic(SynthConfig(n_users=20, n_bins=12, seed=4))
+        records = generate_corpus(SynthConfig(n_users=20, n_bins=12, seed=4), n_hashtags=3)
         path = tmp_path / "events.ndjson"
         write_records(records, path)
         with open(path, "rb") as fh:
             back, skipped = parse_records(fh)
         assert skipped == 0
         assert back == records
+        ids = [s for user, hashtag, _ in back for s in (user, hashtag)]
+        assert len({id(s) for s in ids}) == len(set(ids))  # one str per distinct id
 
 
 class TestBinRecords:
@@ -178,6 +196,11 @@ class TestBinRecords:
         assert m.cols == 6
         with pytest.raises(ValueError, match="too small"):
             bin_records(records, "h0", m=5)
+
+    def test_timestamp_beyond_int64_is_named(self):
+        recs = AdoptionRecords.of([("a", "X", 0), ("b", "X", 2**63)])
+        with pytest.raises(ValueError, match="timestamp 9223372036854775808 is too large"):
+            bin_records(recs, "X")
 
     def test_unknown_hashtag_rejected(self):
         with pytest.raises(ValueError, match="no events"):

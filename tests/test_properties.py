@@ -238,7 +238,7 @@ def _parse_oracle(lines):
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError:
+        except ValueError:  # JSONDecodeError, or an integer beyond int's digit limit
             skipped += 1
             messages.append(f"line {lineno}: not valid JSON, skipped")
             continue
@@ -277,13 +277,44 @@ _ODD_LINES = [
     "1],[2",
     "[1,2]",
     "null",
+    # The compact form write_records emits, and near misses of it.
+    _RECORD,
+    _RECORD + "\r",
+    '{"user":" !#[]~","hashtag":"h","ts":999999999999999999}',
+    '{"user":"a","hashtag":"h","ts":0}',
+    '{"user":"\\u0061","hashtag":"h","ts":1}',
+    '{"user":"a\\"b","hashtag":"h","ts":1}',
+    '{"user":"a\\/b","hashtag":"h","ts":1}',
+    '{"user":"a\\\\","hashtag":"h","ts":1}',
+    '{"user":"a\x7f","hashtag":"h","ts":1}',
+    '{"user":"\xe9","hashtag":"h","ts":1}',
+    '{"user":"","hashtag":"h","ts":1}',
+    '{"user":"a","hashtag":"","ts":1}',
+    '{"user":"a","hashtag":"h","ts":007}',
+    '{"user":"a","hashtag":"h","ts":-0}',
+    '{"user":"a","hashtag":"h","ts":1.0}',
+    '{"user":"a","hashtag":"h","ts":1e3}',
+    '{"user":"a","hashtag":"h","ts":1234567890123456789}',
+    '{"user":"a","hashtag":"h","ts":' + "9" * 4301 + "}",
+    '{"hashtag":"h","user":"a","ts":1}',
+    '{"user":"a","hashtag":"h","ts":1,"x":0}',
 ]
 
 
 @st.composite
 def record_lines(draw):
-    """One line as bytes: a record, an odd line, or either with padding or bad bytes."""
-    kind = draw(st.sampled_from(["record", "odd", "not utf-8"]))
+    """One line as bytes: a record, one in write_records' compact form, an odd line,
+    or a record or odd line with padding or bad bytes."""
+    kind = draw(st.sampled_from(["record", "compact", "odd", "not utf-8"]))
+    if kind == "compact":
+        # Ids near printable ASCII and ts near 18 digits reach both sides of the fast check.
+        ids = st.text(st.characters(min_codepoint=0x1F, max_codepoint=0x7F), max_size=4)
+        obj = {
+            "user": draw(ids),
+            "hashtag": draw(ids),
+            "ts": draw(st.integers(-2, 2**40) | st.integers(10**17, 10**19)),
+        }
+        return (json.dumps(obj, separators=(",", ":")) + draw(st.sampled_from(["", "\r"]))).encode()
     if kind != "odd":
         obj = {
             "user": draw(st.text(max_size=4)),
@@ -303,6 +334,8 @@ def record_lines(draw):
 
 @settings(deadline=None)
 @given(st.lists(record_lines(), max_size=12), st.booleans())
+@example([line.encode("utf-8") for line in _ODD_LINES], False)
+@example([line.encode("utf-8") for line in _ODD_LINES], True)
 def test_parse_records_matches_per_line_json_loads(lines, as_text):
     data = b"".join(line + b"\n" for line in lines)
     if as_text:
