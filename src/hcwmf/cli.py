@@ -24,7 +24,7 @@ from .dataio import (
 )
 from .factorization import TrainConfig, train
 from .harness import METHODS, run_sweep
-from .masks import HeldOutSet, build_structured_masks
+from .masks import HeldOutSet
 from .masks import build_masks  # noqa: F401  uncalled; hook hcwmf.cli.build_masks of perfbench/child.py
 from .stats import build_consistency_vectors, welch_ttest_one_sided
 
@@ -189,9 +189,8 @@ def _write_factor_csv(dense, path) -> None:
 
 def _cmd_train(args) -> int:
     x = load_matrix_csv(args.matrix)
-    masks = build_structured_masks(x, HeldOutSet.of(()))
     cfg = _train_config(args, d=args.d)
-    factors, trace = train(x, masks, cfg)
+    factors, trace = train(x, HeldOutSet.of(()), cfg)
     _write_trace_csv(trace, args.trace)
     final = trace.objective_per_iter[-1] if trace.objective_per_iter else trace.initial_objective
     print(

@@ -172,11 +172,16 @@ def parse_records(stream) -> tuple[AdoptionRecords, int]:
 
 
 def write_records(records: AdoptionRecords, path) -> None:
-    """Write events as newline-delimited JSON, one object per line."""
+    """Write events as newline-delimited JSON, one object per line.
+
+    Each line is ``json.dumps`` of ``{"user": ..., "hashtag": ..., "ts": ...}``
+    with compact separators.  Each distinct id is quoted once, by
+    ``json.dumps``, and ``ts`` is written by ``int.__repr__``, as json does.
+    """
+    quoted = {s: json.dumps(s) for s in {u for u, _, _ in records} | {h for _, h, _ in records}}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for user, hashtag, ts in records:
-            fh.write(json.dumps({"user": user, "hashtag": hashtag, "ts": ts}, separators=(",", ":")))
-            fh.write("\n")
+            fh.write(f'{{"user":{quoted[user]},"hashtag":{quoted[hashtag]},"ts":{int.__repr__(ts)}}}\n')
 
 
 def bin_records(
@@ -324,8 +329,11 @@ def load_matrix_csv(path) -> SparseBinaryMatrix:
 
     Errors name the file and the 1-based line; a repeated triplet is an error.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [(k, ln.strip()) for k, ln in enumerate(fh, start=1) if ln.strip()]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [(k, ln.strip()) for k, ln in enumerate(fh, start=1) if ln.strip()]
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
     def bad(lineno: int, problem: str) -> ValueError:
         return ValueError(f"{path}, line {lineno}: {problem}")

@@ -14,10 +14,11 @@ with * the elementwise product.  Setting mu = 0 removes the consistency term
 entirely and yields the plain weighted factorization used as an ablation.
 
 The masks pick the route.  A ``MaskPair`` is evaluated over dense N x M
-arrays; that route is the reference specification.  ``StructuredMasks`` are
-evaluated from two BLAS products with the constant X per iteration plus
-d x d algebra, with no other N x M array, and agree with the reference to
-rounding.
+arrays; that route is the reference specification.  A ``HeldOutSet`` takes
+the structured route: W is 1 except on its cells and G is anchored at each
+row's first positive in X, so neither is stored.  That route makes two BLAS
+products with the dense X per iteration plus d x d algebra, holds no other
+N x M array, and agrees with the reference to rounding.
 """
 
 import math
@@ -25,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DenseMatrix, SparseBinaryMatrix, low_rank_product
-from .masks import MaskPair, StructuredMasks, _ramp
+from .linalg import DenseMatrix, SparseBinaryMatrix, _check_in_shape, low_rank_product
+from .masks import HeldOutSet, MaskPair, _onsets, _ramp
 
 __all__ = [
     "TrainConfig",
@@ -182,7 +183,7 @@ def _held_sum(r, a, gather, scatter, size: int):
 
 
 class _StructuredLoss:
-    """The same loss with no N x M array but the split's constant X.
+    """The same loss with no N x M array but the dense X.
 
     With H the held-out cells and P = U V^T, the fit term is
     ||X - P||^2 - sum_H (x - p)^2, and ||X - P||^2 = nnz - 2<U, X V> +
@@ -198,16 +199,17 @@ class _StructuredLoss:
     objective and the next half-step share it.
     """
 
-    def __init__(self, x: SparseBinaryMatrix, masks: StructuredMasks, cfg: TrainConfig):
+    def __init__(self, x: SparseBinaryMatrix, held: HeldOutSet, cfg: TrainConfig):
+        _check_in_shape(held.row, held.col, x.shape, "held-out cell")
+        # X comes first, so a shape too large to hold fails before any other N- or M-sized array.
+        self.x, self.nnz = x.to_array(), x.nnz
         self.cfg = cfg
-        self.x, self.nnz = masks.x, x.nnz
-        m = masks.shape[1]
-        held = masks.held_out
+        m = x.cols
         self.hr, self.hc = held.row, held.col
         self.xh = self.x[self.hr, self.hc]
         if cfg.mu == 0.0:
             return
-        onset = masks.onset
+        onset = _onsets(x)
         h = _ramp(m)
         self.h2 = h * h
         # Rows with an onset, sorted by it; each group is (onset, start, end) in that order.
@@ -283,10 +285,10 @@ class _StructuredLoss:
 
 
 def _loss(x: SparseBinaryMatrix, masks, cfg: TrainConfig):
+    if isinstance(masks, HeldOutSet):
+        return _StructuredLoss(x, masks, cfg)
     if masks.shape != x.shape:
         raise ValueError(f"masks: shape mismatch {masks.shape} vs {x.shape}")
-    if isinstance(masks, StructuredMasks):
-        return _StructuredLoss(x, masks, cfg)
     return _DenseLoss(x, masks, cfg)
 
 
@@ -304,7 +306,7 @@ def _at(x: SparseBinaryMatrix, masks, factors: FactorPair, cfg: TrainConfig):
 
 
 def objective(
-    x: SparseBinaryMatrix, masks: MaskPair | StructuredMasks, factors: FactorPair, cfg: TrainConfig
+    x: SparseBinaryMatrix, masks: MaskPair | HeldOutSet, factors: FactorPair, cfg: TrainConfig
 ) -> float:
     """Value of the regularized loss at the given factors."""
     loss, u, v = _at(x, masks, factors, cfg)
@@ -312,7 +314,7 @@ def objective(
 
 
 def grad_u(
-    x: SparseBinaryMatrix, masks: MaskPair | StructuredMasks, factors: FactorPair, cfg: TrainConfig
+    x: SparseBinaryMatrix, masks: MaskPair | HeldOutSet, factors: FactorPair, cfg: TrainConfig
 ) -> DenseMatrix:
     """Exact gradient of the loss with respect to U."""
     loss, u, v = _at(x, masks, factors, cfg)
@@ -320,7 +322,7 @@ def grad_u(
 
 
 def grad_v(
-    x: SparseBinaryMatrix, masks: MaskPair | StructuredMasks, factors: FactorPair, cfg: TrainConfig
+    x: SparseBinaryMatrix, masks: MaskPair | HeldOutSet, factors: FactorPair, cfg: TrainConfig
 ) -> DenseMatrix:
     """Exact gradient of the loss with respect to V."""
     loss, u, v = _at(x, masks, factors, cfg)
@@ -337,7 +339,7 @@ def _init_factors(n: int, m: int, d: int, seed: int):
 
 
 def train(
-    x: SparseBinaryMatrix, masks: MaskPair | StructuredMasks, cfg: TrainConfig | None = None
+    x: SparseBinaryMatrix, masks: MaskPair | HeldOutSet, cfg: TrainConfig | None = None
 ) -> tuple[FactorPair, TrainTrace]:
     """Run alternating projected gradient descent until the loss stabilizes.
 
@@ -348,9 +350,10 @@ def train(
     below ``rel_tol`` or after ``max_iters`` iterations, whichever comes first.
 
     A ``MaskPair`` is evaluated over dense N x M arrays, the reference route.
-    ``StructuredMasks`` (built from ``x``) take the structured route, which
-    holds no N x M array but the masks' X and agrees with the reference to
-    rounding.
+    A ``HeldOutSet`` takes the structured route: W is 1 except on its cells,
+    G is anchored at each row's first positive in ``x``, and the fit holds no
+    N x M array but ``x`` as one dense array, agreeing with the reference to
+    rounding.  ``HeldOutSet.of(())`` fits every cell.
 
     Raises FloatingPointError if the objective stops being finite, naming the
     iteration at which that happened.

@@ -20,7 +20,7 @@ from .baselines import fit_ar, fit_markov, predict_ar, predict_markov, random_pr
 from .factorization import TrainConfig, train
 from .factorization import predict  # noqa: F401  uncalled; hook hcwmf.harness.predict of perfbench/child.py
 from .linalg import SparseBinaryMatrix
-from .masks import HeldOutSet, build_structured_masks
+from .masks import HeldOutSet
 from .masks import build_masks  # noqa: F401  uncalled; hook hcwmf.harness.build_masks of perfbench/child.py
 
 __all__ = [
@@ -208,8 +208,6 @@ def run_sweep(
         frac_key = int(round(fraction * 100))
         split_seed = _derived_seed([master, _SPLIT_TAG, frac_key])
         x_train, held = split_mask(x, SplitSpec(fraction=fraction, seed=split_seed))
-        # One dense training matrix per split, read by every fit and the AR baseline.
-        masks = build_structured_masks(x_train, held)
         actual = np.ones(len(held))
         baseline = {}  # markov and ar predictions, which do not depend on d
         for d in dim_list:
@@ -220,7 +218,7 @@ def run_sweep(
                     if method in ("hcwmf", "wmf"):
                         mu = 0.0 if method == "wmf" else cfg.mu
                         run_cfg = replace(cfg, d=d, mu=mu, seed=train_seed)
-                        factors, _ = train(x_train, masks, run_cfg)
+                        factors, _ = train(x_train, held, run_cfg)
                         # U V^T on the held-out cells only, not the full N x M product.
                         u, v = factors.u.data, factors.v.data
                         preds = np.einsum("ij,ij->i", u[held.row], v[held.col])
@@ -229,7 +227,7 @@ def run_sweep(
                     elif method == "markov":
                         preds = baseline[method] = _markov_predictions(x_train, held)
                     elif method == "ar":
-                        preds = baseline[method] = _ar_predictions(masks.x, held, ar_order)
+                        preds = baseline[method] = _ar_predictions(x_train.to_array(), held, ar_order)
                     else:
                         preds = random_predict(len(held), random_seed)
                     if clamp:

@@ -18,11 +18,9 @@ from .linalg import DenseMatrix, SparseBinaryMatrix, _check_in_shape, _coords
 __all__ = [
     "HeldOutSet",
     "MaskPair",
-    "StructuredMasks",
     "build_indicator",
     "build_attenuation",
     "build_masks",
-    "build_structured_masks",
 ]
 
 
@@ -75,29 +73,6 @@ class MaskPair:
         return self.w.shape
 
 
-@dataclass(frozen=True, eq=False)
-class StructuredMasks:
-    """The masks of one split without their dense arrays, plus the dense X.
-
-    W is 1 except on ``held_out``, and row i of G is the attenuation ramp
-    anchored at ``onset[i]`` (M for a row with no training positive), so
-    neither is stored.  ``x`` is the training matrix as one read-only dense
-    float64 array, built once and shared by every fit of the split.
-    """
-
-    held_out: HeldOutSet
-    onset: np.ndarray
-    x: np.ndarray
-
-    def __post_init__(self):
-        if self.x.ndim != 2 or self.onset.shape != (self.x.shape[0],):
-            raise ValueError(f"onset of shape {self.onset.shape} does not fit x of shape {self.x.shape}")
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.x.shape
-
-
 def build_indicator(shape: tuple[int, int], held_out: HeldOutSet) -> DenseMatrix:
     """All-ones indicator with held-out cells zeroed.
 
@@ -147,17 +122,3 @@ def build_masks(x_train: SparseBinaryMatrix, held_out: HeldOutSet) -> MaskPair:
         w=build_indicator(x_train.shape, held_out),
         g=build_attenuation(x_train),
     )
-
-
-def build_structured_masks(x_train: SparseBinaryMatrix, held_out: HeldOutSet) -> StructuredMasks:
-    """The masks of ``build_masks`` in structured form, with the dense training matrix.
-
-    The dense matrix is allocated before anything else of size N or M, so a
-    shape too large to hold fails at once.
-    """
-    _check_in_shape(held_out.row, held_out.col, x_train.shape, "held-out cell")
-    x = x_train.to_array()
-    x.flags.writeable = False
-    onset = _onsets(x_train)
-    onset.flags.writeable = False
-    return StructuredMasks(held_out=held_out, onset=onset, x=x)

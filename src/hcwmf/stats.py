@@ -100,9 +100,12 @@ def welch_ttest_one_sided(a, b, alpha: float = 0.01) -> TTestResult:
     """Welch two-sample t-test of H1: mean(a) > mean(b).
 
     Uses unequal-variance pooling with Welch-Satterthwaite degrees of freedom
-    and reports the upper-tail p-value.  Rejects inputs shorter than two
-    elements and the degenerate case where both samples have zero variance.
+    and reports the upper-tail p-value.  Rejects an ``alpha`` outside (0, 1),
+    inputs shorter than two elements and the degenerate case where both
+    samples have zero variance.
     """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     xa = np.asarray(a, dtype=float)
     xb = np.asarray(b, dtype=float)
     if xa.ndim != 1 or xb.ndim != 1:

@@ -204,6 +204,15 @@ class TestTTest:
         assert "skipped 1 malformed line(s)" in err
         assert set(json.loads(out.strip().splitlines()[-1])) == {"t", "df", "p", "alpha", "reject"}
 
+    @pytest.mark.parametrize("alpha", ["7", "nan"])
+    def test_alpha_outside_the_unit_interval_exits_2(self, tmp_path, capsys, alpha):
+        corpus = tmp_path / "corpus.ndjson"
+        _run(capsys, "synth", "--users", "20", "--bins", "12", "--hashtags", "3",
+             "--repeat-prob", "0.7", "--seed", "6", "--out", str(corpus))
+        code, out, err = _run(capsys, "ttest", "--records", str(corpus), "--alpha", alpha)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: alpha must be in (0, 1)")
+
 
 class TestErrorHandling:
     def test_missing_input_file(self, tmp_path, capsys):
@@ -213,6 +222,15 @@ class TestErrorHandling:
         )
         assert code == 2
         assert err.startswith("error:")
+
+    def test_matrix_that_is_not_utf8_is_named(self, tmp_path, capsys):
+        matrix_path = tmp_path / "bad.csv"
+        matrix_path.write_bytes(b"\xff\n")
+        code, _, err = _run(
+            capsys, "train", "--matrix", str(matrix_path), "--trace", str(tmp_path / "t.csv"),
+        )
+        assert code == 2
+        assert err.startswith(f"error: {matrix_path}: not UTF-8 text")
 
     def test_invalid_config_value(self, tmp_path, capsys):
         matrix_path = tmp_path / "one.csv"

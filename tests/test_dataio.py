@@ -364,6 +364,13 @@ class TestMatrixCsv:
                 load_matrix_csv(path)
             assert str(info.value).startswith(f"{path}, line {line}: "), text
 
+    def test_load_names_a_file_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"N,1\nM,1\n0,0,1\n\xff\n")
+        with pytest.raises(ValueError, match="not UTF-8 text") as info:
+            load_matrix_csv(path)
+        assert str(info.value).startswith(f"{path}: ")
+
 
 class TestCumulativeCsv:
     def test_exact_bytes(self, tmp_path):

@@ -13,12 +13,10 @@ from hcwmf import (
     HeldOutSet,
     MaskPair,
     SparseBinaryMatrix,
-    StructuredMasks,
     SynthConfig,
     TrainConfig,
     bin_records,
     build_masks,
-    build_structured_masks,
     generate_synthetic,
     grad_u,
     grad_v,
@@ -328,14 +326,14 @@ def _split_instance(rng, n, m, density, held_share):
 
 
 class TestStructuredTrain:
-    """``train`` on StructuredMasks against the dense reference route."""
+    """``train`` on a HeldOutSet against the dense reference route."""
 
     @pytest.mark.parametrize("mu", [0.0, 0.2])
     def test_matches_dense_route(self, mu):
         x_train, held = _split_instance(np.random.default_rng(21), 40, 30, 0.2, 0.3)
         cfg = TrainConfig(d=3, mu=mu, learning_rate=0.005, max_iters=150, rel_tol=1e-30, seed=5)
         fd, td = train(x_train, build_masks(x_train, held), cfg)
-        fs, ts = train(x_train, build_structured_masks(x_train, held), cfg)
+        fs, ts = train(x_train, held, cfg)
         assert ts.iterations_run == td.iterations_run == 150
         np.testing.assert_allclose(ts.initial_objective, td.initial_objective, rtol=1e-10)
         np.testing.assert_allclose(ts.objective_per_iter, td.objective_per_iter, rtol=1e-10)
@@ -344,17 +342,16 @@ class TestStructuredTrain:
 
     def test_divergence_raises_with_iteration(self):
         x = SparseBinaryMatrix(4, 4, {(i, j) for i in range(4) for j in range(4)})
-        masks = build_structured_masks(x, HeldOutSet.of([(0, 0)]))
         cfg = TrainConfig(d=2, learning_rate=1e160, max_iters=50, seed=0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # numpy overflow chatter
             with pytest.raises(FloatingPointError, match="iteration"):
-                train(x, masks, cfg)
+                train(x, HeldOutSet.of([(0, 0)]), cfg)
 
     def test_mask_shape_mismatch_rejected(self):
-        masks = build_structured_masks(SparseBinaryMatrix(2, 2, []), HeldOutSet.of([]))
-        with pytest.raises(ValueError, match="shape mismatch"):
-            train(SparseBinaryMatrix(2, 3, []), masks, TrainConfig(d=1))
+        # A held-out set fits the matrix when every cell lies inside it.
+        with pytest.raises(ValueError, match=r"held-out cell \(0, 2\) out of range for shape \(2, 2\)"):
+            train(SparseBinaryMatrix(2, 2, []), HeldOutSet.of([(0, 2)]), TrainConfig(d=1))
 
     def test_held_out_scatter_matches_flat_index_bit_for_bit(self, monkeypatch):
         def flat_index_sum(r, a, gather, scatter, size):
@@ -365,30 +362,28 @@ class TestStructuredTrain:
             return np.bincount(flat, weights=vals.ravel(), minlength=size * d).reshape(size, d)
 
         x_train, held = _split_instance(np.random.default_rng(23), 300, 48, 0.15, 0.3)
-        masks = build_structured_masks(x_train, held)
         cfg = TrainConfig(d=6, mu=0.2, max_iters=10, rel_tol=1e-30, seed=4)
-        factors, trace = train(x_train, masks, cfg)
+        factors, trace = train(x_train, held, cfg)
         monkeypatch.setattr(factorization, "_held_sum", flat_index_sum)
-        want_factors, want_trace = train(x_train, masks, cfg)
+        want_factors, want_trace = train(x_train, held, cfg)
         assert trace.iterations_run == 10
         assert trace == want_trace
         assert np.array_equal(factors.u.data, want_factors.u.data)
         assert np.array_equal(factors.v.data, want_factors.v.data)
 
     def test_peak_memory_beyond_the_masks_x(self):
-        # No N x M array but the masks' X, which is built before tracing.
+        # No N x M array but the one dense X that train builds.
         n, m = 2000, 100
         x_train, held = _split_instance(np.random.default_rng(22), n, m, 0.1, 0.3)
-        masks = build_structured_masks(x_train, held)
-        assert isinstance(masks, StructuredMasks)
         cfg = TrainConfig(d=5, mu=0.2, max_iters=5, rel_tol=1e-30)
         tracemalloc.start()
         try:
-            train(x_train, masks, cfg)
+            train(x_train, held, cfg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak / (n * m * 8) <= 1.5
+        x_bytes = n * m * 8
+        assert (peak - x_bytes) / x_bytes <= 1.5
 
 
 class TestPredict:

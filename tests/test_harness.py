@@ -8,11 +8,11 @@ import pytest
 import hcwmf.harness as harness
 from hcwmf import (
     METHODS,
+    HeldOutSet,
     ResultRow,
     ResultsTable,
     SparseBinaryMatrix,
     SplitSpec,
-    StructuredMasks,
     SynthConfig,
     TrainConfig,
     bin_records,
@@ -203,6 +203,23 @@ class TestRunSweep:
             assert r.rmse is not None
             assert score[(r.method, r.fraction, 2)] == score[(r.method, r.fraction, 3)] == r.rmse
 
+    def test_dense_x_is_built_only_for_methods_that_read_it(self, monkeypatch):
+        # markov and random never read the dense training matrix; the ar
+        # baseline reads it once per split.
+        shapes = []
+
+        def counting(self, _to_array=SparseBinaryMatrix.to_array):
+            shapes.append(self.shape)
+            return _to_array(self)
+
+        monkeypatch.setattr(SparseBinaryMatrix, "to_array", counting)
+        x = _random_matrix(np.random.default_rng(56), 25, 18, 140)
+        cfg = TrainConfig(max_iters=5)
+        run_sweep(x, ["markov", "random"], [20.0, 40.0], [2, 3], cfg)
+        assert shapes == []
+        run_sweep(x, ["markov", "random", "ar"], [20.0, 40.0], [2, 3], cfg)
+        assert shapes == [(25, 18)] * 2
+
     def test_factorizations_match_a_dense_route_replay(self, monkeypatch):
         # Each fit of the sweep, replayed on the dense masks and scored from
         # the full U V^T, gives the same RMSE to 1e-12.
@@ -216,9 +233,8 @@ class TestRunSweep:
         x = _random_matrix(np.random.default_rng(55), 30, 20, 200)
         table = run_sweep(x, ["hcwmf", "wmf"], [20.0, 40.0], [2, 3], TrainConfig(max_iters=100, seed=4))
         assert len(fits) == len(table.rows) == 8
-        for (x_train, masks, cfg), row in zip(fits, table.rows):
-            assert isinstance(masks, StructuredMasks)
-            held = masks.held_out
+        for (x_train, held, cfg), row in zip(fits, table.rows):
+            assert isinstance(held, HeldOutSet)
             factors, _ = train(x_train, build_masks(x_train, held), cfg)
             want = rmse(predict(factors).data[held.row, held.col], np.ones(len(held)))
             assert row.rmse == pytest.approx(want, rel=1e-12, abs=0.0)

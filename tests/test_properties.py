@@ -3,8 +3,9 @@
 Sparse matrices and held-out sets store their cells as sorted int64
 coordinate arrays.  Each storage property checks one consumer of those arrays
 against a plain-Python oracle over sets of (row, col) tuples.  The structured
-loss is checked against the dense reference kernels, and the record parser
-against per-line ``json.loads``.
+loss is checked against the dense reference kernels, the record parser
+against per-line ``json.loads``, and the record writer against per-event
+``json.dumps``.
 """
 
 import io
@@ -19,6 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hcwmf import (
+    AdoptionRecords,
     DenseMatrix,
     FactorPair,
     HeldOutSet,
@@ -27,7 +29,6 @@ from hcwmf import (
     TrainConfig,
     build_attenuation,
     build_masks,
-    build_structured_masks,
     fit_markov,
     grad_u,
     grad_v,
@@ -37,6 +38,7 @@ from hcwmf import (
     predict_markov,
     save_matrix_csv,
     split_mask,
+    write_records,
 )
 from hcwmf.harness import _markov_predictions
 
@@ -213,12 +215,12 @@ def test_structured_loss_matches_dense_reference(case):
     # rtol 1e-12 on each value; gradient entries near zero after cancellation
     # are held to the same 1e-12 relative to the gradient's largest entry.
     x_train, held, factors, cfg = case
-    dense, structured = build_masks(x_train, held), build_structured_masks(x_train, held)
+    dense = build_masks(x_train, held)
     want = objective(x_train, dense, factors, cfg)
-    assert math.isclose(objective(x_train, structured, factors, cfg), want, rel_tol=1e-12, abs_tol=1e-12)
+    assert math.isclose(objective(x_train, held, factors, cfg), want, rel_tol=1e-12, abs_tol=1e-12)
     for kernel in (grad_u, grad_v):
         want = kernel(x_train, dense, factors, cfg).data
-        got = kernel(x_train, structured, factors, cfg).data
+        got = kernel(x_train, held, factors, cfg).data
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max(initial=1.0))
 
 
@@ -349,3 +351,41 @@ def test_parse_records_matches_per_line_json_loads(lines, as_text):
         records, skipped = parse_records(stream)
     assert (list(records.events), skipped, [str(w.message) for w in caught]) == want
     assert all(w.filename == __file__ for w in caught)
+
+
+class _Int(int):
+    """An int whose repr, str and format all differ from ``int.__repr__``, which json writes."""
+
+    def __repr__(self):
+        return "x"
+
+    __str__ = __repr__
+
+    def __format__(self, spec):
+        return "x"
+
+
+# Quotes, backslashes, control characters, DEL, non-ASCII, astral and surrogate ids.
+_ODD_IDS = ['"', "\\", "a\"b\\c", "\x00\x1f\n\t", "\x7f", "é", "\u2028", "😀", "\ud800", " "]
+
+
+@settings(deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.text(min_size=1, max_size=4) | st.sampled_from(_ODD_IDS),
+            st.text(min_size=1, max_size=3) | st.sampled_from(_ODD_IDS),
+            st.integers(0, 2**70),
+        ),
+        max_size=12,
+    )
+)
+@example([(u, h, ts) for u in _ODD_IDS for h, ts in (("h", 0), (u, 2**64), ("h", _Int(7)))])
+def test_write_records_matches_per_event_json_dumps(events):
+    want = "".join(
+        json.dumps({"user": u, "hashtag": h, "ts": ts}, separators=(",", ":")) + "\n" for u, h, ts in events
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "events.ndjson"
+        write_records(AdoptionRecords(tuple(events)), path)
+        assert path.read_bytes() == want.encode("utf-8")

@@ -191,6 +191,11 @@ class TestWelchTTest:
         assert res.p_value < 0.01
         assert res.reject
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 7.0, -1.0, math.nan])
+    def test_rejects_alpha_outside_the_unit_interval(self, alpha):
+        with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
+            welch_ttest_one_sided([1.0, 2.0, 3.0], [0.0, 1.0, 1.5], alpha=alpha)
+
     def test_rejects_degenerate_inputs(self):
         with pytest.raises(ValueError, match=">= 2 values"):
             welch_ttest_one_sided([1.0], [1.0, 2.0])
