@@ -44,6 +44,15 @@ _canonical_record = re.compile(
 ).fullmatch
 
 
+# The exact bytes save_matrix_csv writes, with every count below 10**18 so that it fits int64.
+# The repeat is possessive: a plain `*` keeps one backtracking frame per line, which on a
+# 150k-line matrix costs tens of megabytes.
+_COUNT = rb"(?:0|[1-9][0-9]{0,17})"
+_canonical_matrix = re.compile(
+    rb"N,(" + _COUNT + rb")\nM,(" + _COUNT + rb")\n((?:" + _COUNT + rb"," + _COUNT + rb",1\n)*+)"
+).fullmatch
+
+
 def _event_problem(user, hashtag, ts) -> str | None:
     """Why (user, hashtag, ts) is not a valid event, or None when it is."""
     if not isinstance(user, str) or not user:
@@ -328,7 +337,27 @@ def load_matrix_csv(path) -> SparseBinaryMatrix:
     """Inverse of save_matrix_csv, validating the header and every triplet.
 
     Errors name the file and the 1-based line; a repeated triplet is an error.
+    The exact bytes save_matrix_csv writes are matched by one regex and parsed
+    by numpy.  Any other file, and one whose cells are out of range or
+    repeated, is read by the line loop, which accepts the other spellings
+    (CRLF, blank or padded lines, leading zeros) and names the failing line.
     """
+    with open(path, "rb") as fh:
+        canonical = _canonical_matrix(fh.read())
+    if canonical:
+        n, m = int(canonical[1]), int(canonical[2])
+        # fromstring takes one separator, so the line ends become commas.
+        body = canonical[3].replace(b"\n", b",")
+        cells = np.fromstring(body, dtype=np.int64, sep=",").reshape(-1, 3)[:, :2]
+        if (cells[:, 0] < n).all() and (cells[:, 1] < m).all():
+            matrix = SparseBinaryMatrix(n, m, cells)
+            if matrix.nnz == len(cells):
+                return matrix
+    return _load_matrix_lines(path)
+
+
+def _load_matrix_lines(path) -> SparseBinaryMatrix:
+    """load_matrix_csv line by line: the reference reader, and the one that names errors."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [(k, ln.strip()) for k, ln in enumerate(fh, start=1) if ln.strip()]

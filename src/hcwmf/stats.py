@@ -44,6 +44,12 @@ class ConsistencyVectors:
             raise ValueError("counts must be non-negative")
 
 
+def _check_alpha(alpha: float) -> None:
+    """Reject a significance level outside the open interval (0, 1), NaN included."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+
+
 @dataclass(frozen=True)
 class TTestResult:
     """Welch test outcome; ``reject`` compares p_value against reject_at."""
@@ -58,6 +64,7 @@ class TTestResult:
             raise ValueError(f"p_value must be in [0, 1], got {self.p_value}")
         if self.degrees_freedom <= 0:
             raise ValueError(f"degrees_freedom must be > 0, got {self.degrees_freedom}")
+        _check_alpha(self.reject_at)
 
     @property
     def reject(self) -> bool:
@@ -104,8 +111,7 @@ def welch_ttest_one_sided(a, b, alpha: float = 0.01) -> TTestResult:
     inputs shorter than two elements and the degenerate case where both
     samples have zero variance.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     xa = np.asarray(a, dtype=float)
     xb = np.asarray(b, dtype=float)
     if xa.ndim != 1 or xb.ndim != 1:

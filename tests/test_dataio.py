@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -22,6 +23,7 @@ from hcwmf import (
     save_matrix_csv,
     write_records,
 )
+from hcwmf import dataio
 
 
 def _lines(*objs):
@@ -363,6 +365,37 @@ class TestMatrixCsv:
             with pytest.raises(ValueError, match=problem) as info:
                 load_matrix_csv(path)
             assert str(info.value).startswith(f"{path}, line {line}: "), text
+
+    def test_saved_matrix_loads_without_the_line_loop(self, tmp_path, monkeypatch):
+        def line_loop(path):
+            raise AssertionError(f"{path} was read line by line")
+
+        monkeypatch.setattr(dataio, "_load_matrix_lines", line_loop)
+        matrices = [
+            SparseBinaryMatrix(0, 0, []),
+            SparseBinaryMatrix(4, 0, []),
+            SparseBinaryMatrix(3, 170, [(2, 169), (0, 0), (0, 10)]),
+        ]
+        for k, matrix in enumerate(matrices):
+            path = tmp_path / f"m{k}.csv"
+            save_matrix_csv(matrix, path)
+            assert load_matrix_csv(path) == matrix
+
+    def test_load_peak_memory_is_a_few_file_sizes(self, tmp_path):
+        # The regex read holds the bytes, the body and the cell arrays: about 8x
+        # the file's size.  The line loop peaks near 31x, and a backtracking
+        # (greedy rather than possessive) pattern near 49x.
+        rng = np.random.default_rng(3)
+        cells = np.column_stack((rng.integers(0, 20_000, 20_000), rng.integers(0, 168, 20_000)))
+        path = tmp_path / "m.csv"
+        save_matrix_csv(SparseBinaryMatrix(20_000, 168, cells), path)
+        tracemalloc.start()
+        try:
+            load_matrix_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * path.stat().st_size
 
     def test_load_names_a_file_that_is_not_utf8(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -4,18 +4,20 @@ Sparse matrices and held-out sets store their cells as sorted int64
 coordinate arrays.  Each storage property checks one consumer of those arrays
 against a plain-Python oracle over sets of (row, col) tuples.  The structured
 loss is checked against the dense reference kernels, the record parser
-against per-line ``json.loads``, and the record writer against per-event
-``json.dumps``.
+against per-line ``json.loads``, the record writer against per-event
+``json.dumps``, and the matrix reader against its line loop.
 """
 
 import io
 import json
 import math
+import re
 import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -40,6 +42,7 @@ from hcwmf import (
     split_mask,
     write_records,
 )
+from hcwmf.dataio import _load_matrix_lines
 from hcwmf.harness import _markov_predictions
 
 
@@ -126,6 +129,84 @@ def test_csv_round_trip(case):
         lines = [f"N,{n}", f"M,{m}"] + [f"{r},{c},1" for r, c in sorted(set(cells))]
         assert path.read_text() == "\n".join(lines) + "\n"
         assert load_matrix_csv(path) == x
+
+
+@st.composite
+def saved_matrices(draw):
+    """(n, m, cells) with n, m <= 12 or the largest size the regex reader takes, 10**18 - 1."""
+    n, m = (draw(st.integers(0, 12) | st.just(10**18 - 1)) for _ in "NM")
+    if not (n and m):
+        return n, m, []
+    return n, m, draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, m - 1)), max_size=20))
+
+
+def _edit_number(line: bytes, j: int, new) -> bytes:
+    """Replace the (j mod count)-th run of ASCII digits in ``line`` by ``new(run)``."""
+    runs = list(re.finditer(rb"[0-9]+", line))
+    run = runs[j % len(runs)]
+    return line[: run.start()] + new(run[0]) + line[run.end() :]
+
+
+# Edits of a file that save_matrix_csv wrote.  "none", "out of range" and
+# "duplicate" keep the regex form; every other edit sends load_matrix_csv to the
+# line loop, which may accept the file or name the line it fails on.
+_MATRIX_EDITS = [
+    "none", "crlf", "no final newline", "bom", "blank line", "padded line", "leading zero",
+    "19 digits", "arabic digit", "not utf-8", "out of range", "duplicate", "third field",
+]
+
+
+def _edited_matrix_file(data: bytes, edit: str, n: int, m: int, k: int, j: int) -> bytes:
+    """``data`` after ``edit`` at line k (modulo the line count), in variant j."""
+    if edit == "crlf":
+        return data.replace(b"\n", b"\r\n")
+    if edit == "no final newline":
+        return data[:-1]
+    if edit == "bom":
+        return b"\xef\xbb\xbf" + data
+    lines = data.split(b"\n")[:-1]
+    k %= len(lines)
+    line = lines[k]
+    triplet = 2 + j % max(len(lines) - 2, 1)  # an existing triplet's line, or the end
+    if edit == "blank line":
+        lines.insert(k, [b"", b" ", b"\t"][j % 3])
+    elif edit == "padded line":
+        lines[k] = [b" ", b"\t", "\u3000".encode()][j % 3] + line + b" "
+    elif edit == "leading zero":
+        lines[k] = _edit_number(line, j, lambda run: b"0" + run)
+    elif edit == "19 digits":
+        lines[k] = _edit_number(line, j, lambda run: [b"1" + b"0" * 18, b"9" * 19, b"0" * 18 + run][k % 3])
+    elif edit == "arabic digit":
+        lines[k] = _edit_number(line, j, lambda run: "\u0663".encode())
+    elif edit == "not utf-8":
+        cut = j % (len(line) + 1)
+        lines[k] = line[:cut] + b"\xff" + line[cut:]
+    elif edit == "out of range":
+        lines.insert(max(k, 2), [f"{n},0,1", f"0,{m},1"][j % 2].encode())
+    elif edit == "duplicate" and len(lines) > 2:
+        lines.insert(max(k, 2), lines[triplet])
+    elif edit == "third field" and len(lines) > 2:
+        lines[triplet] = lines[triplet][:-1] + [b"01", b"2"][k % 2]
+    return b"".join(line + b"\n" for line in lines)
+
+
+def _load_outcome(load, path):
+    try:
+        return load(path)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("edit", _MATRIX_EDITS)
+@settings(deadline=None)
+@given(saved_matrices(), st.integers(0, 10**6), st.integers(0, 10**6))
+def test_load_matrix_csv_matches_the_line_loop(edit, case, k, j):
+    n, m, cells = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.csv"
+        save_matrix_csv(SparseBinaryMatrix(n, m, cells), path)
+        path.write_bytes(_edited_matrix_file(path.read_bytes(), edit, n, m, k, j))
+        assert _load_outcome(load_matrix_csv, path) == _load_outcome(_load_matrix_lines, path)
 
 
 @st.composite

@@ -216,6 +216,12 @@ class TestTTestResult:
         with pytest.raises(ValueError, match="degrees_freedom"):
             TTestResult(1.0, 0.0, 0.5, 0.01)
 
+    @pytest.mark.parametrize("alpha", [7.0, math.nan])
+    def test_rejects_alpha_outside_the_unit_interval(self, alpha):
+        # Unchecked, 7.0 would make every result a rejection and NaN none.
+        with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\), got"):
+            TTestResult(1.0, 10.0, 0.2, alpha)
+
 
 class TestRegularizedIncompleteBeta:
     def test_domain_validation(self):
