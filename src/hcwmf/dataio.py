@@ -336,7 +336,8 @@ def save_matrix_csv(matrix: SparseBinaryMatrix, path) -> None:
 def load_matrix_csv(path) -> SparseBinaryMatrix:
     """Inverse of save_matrix_csv, validating the header and every triplet.
 
-    Errors name the file and the 1-based line; a repeated triplet is an error.
+    Errors name the file and the 1-based line; a repeated triplet and a count
+    of 2**63 or more are errors.
     The exact bytes save_matrix_csv writes are matched by one regex and parsed
     by numpy.  Any other file, and one whose cells are out of range or
     repeated, is read by the line loop, which accepts the other spellings
@@ -370,7 +371,13 @@ def _load_matrix_lines(path) -> SparseBinaryMatrix:
     def count(lineno: int, text: str) -> int:
         if not text.isdecimal():
             raise bad(lineno, f"{text!r} is not a non-negative integer")
-        return int(text)
+        try:
+            value = int(text)
+        except ValueError:  # more digits than int's conversion limit
+            value = 2**63
+        if value >= 2**63:
+            raise bad(lineno, f"{text!r} does not fit int64, counts must be below 2**63")
+        return value
 
     shape = []
     for k, key in enumerate("NM"):

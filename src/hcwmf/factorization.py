@@ -15,10 +15,10 @@ entirely and yields the plain weighted factorization used as an ablation.
 
 The masks pick the route.  A ``MaskPair`` is evaluated over dense N x M
 arrays; that route is the reference specification.  A ``HeldOutSet`` takes
-the structured route: W is 1 except on its cells and G is anchored at each
-row's first positive in X, so neither is stored.  That route makes two BLAS
-products with the dense X per iteration plus d x d algebra, holds no other
-N x M array, and agrees with the reference to rounding.
+the structured route: W is 1 except on its cells, where the fit's own dense X
+holds U V^T, and G is anchored at each row's first positive, so neither mask
+is stored.  That route makes two BLAS products with X per iteration plus d x d
+algebra, holds no other N x M array, and agrees with the reference to rounding.
 """
 
 import math
@@ -171,42 +171,34 @@ def _after(a):
     return out
 
 
-def _held_sum(r, a, gather, scatter, size: int):
-    """Sum the rows of ``r[:, None] * a[gather]`` into a ``size``-row array at rows ``scatter``."""
-    # Gathered transposed, each column is one contiguous weights array for bincount.
-    cols = np.take(a.T, gather, axis=1)
-    cols *= r
-    out = np.empty((size, a.shape[1]))
-    for k, col in enumerate(cols):
-        out[:, k] = np.bincount(scatter, weights=col, minlength=size)
-    return out
-
-
 class _StructuredLoss:
     """The same loss with no N x M array but the dense X.
 
-    With H the held-out cells and P = U V^T, the fit term is
-    ||X - P||^2 - sum_H (x - p)^2, and ||X - P||^2 = nnz - 2<U, X V> +
-    <U^T U, V^T V> (Hu, Koren & Volinsky, ICDM 2008).  Row i of G^2 is
-    omega_k: 1 at the row's onset k, h_j^2 at each later column j and 0
-    before.  So the consistency term is a quadratic in each u_i with the
-    coefficients of its onset group k, ``wv[k]`` = sum_j omega_kj v_j and
-    ``wvv[k]`` = sum_j omega_kj v_j v_j^T, and a quadratic in each v_j with
-    ``wu[j]`` = sum_i omega_{k_i j} u_i and ``wuu[j]`` = sum_i omega_{k_i j} u_i u_i^T.
+    With H the held-out cells and P = U V^T, the fit term sums (x - p)^2 off H.
+    X holds p on H (Srebro & Jaakkola, ICML 2003), so the fit term is
+    ||X - P||^2 = nnz_out + sum_H p^2 - 2<U, X V> + <U^T U, V^T V> (Hu, Koren &
+    Volinsky, ICDM 2008), with nnz_out the positives off H, and its gradients
+    need no held-out term.  Row i of G^2 is omega_k: 1 at the row's onset k,
+    h_j^2 at each later column j and 0 before.  So the consistency term is a
+    quadratic in each u_i with the coefficients of its onset group k, ``wv[k]``
+    = sum_j omega_kj v_j and ``wvv[k]`` = sum_j omega_kj v_j v_j^T, and a
+    quadratic in each v_j with ``wu[j]`` = sum_i omega_{k_i j} u_i and
+    ``wuu[j]`` = sum_i omega_{k_i j} u_i u_i^T.
 
-    ``moved_u`` and ``moved_v`` recompute what depends on the factor that
-    changed (X^T U or X V, the Gramians, p on H, the group sums), and the
-    objective and the next half-step share it.
+    ``moved_u`` and ``moved_v`` write p on H into X, then recompute what depends
+    on the factor that changed (X^T U or X V, the Gramians, the group sums),
+    and the objective and the next half-step share it.
     """
 
     def __init__(self, x: SparseBinaryMatrix, held: HeldOutSet, cfg: TrainConfig):
         _check_in_shape(held.row, held.col, x.shape, "held-out cell")
         # X comes first, so a shape too large to hold fails before any other N- or M-sized array.
-        self.x, self.nnz = x.to_array(), x.nnz
+        self.x = x.to_array()
         self.cfg = cfg
         m = x.cols
         self.hr, self.hc = held.row, held.col
-        self.xh = self.x[self.hr, self.hc]
+        # Counted before the first write of p on H replaces X's values there.
+        self.nnz_out = x.nnz - self.x[self.hr, self.hc].sum()
         if cfg.mu == 0.0:
             return
         onset = _onsets(x)
@@ -224,12 +216,14 @@ class _StructuredLoss:
         # sum_k omega_kj n_k: the consistency term's constant part, per column.
         self.c0 = float(np.sum(count + self.h2 * _before(count)))
 
-    def _held_residual(self, u, v) -> None:
-        self.r = self.xh - np.einsum("ij,ij->i", u[self.hr], v[self.hc])
+    def _write_held(self, u, v) -> None:
+        # X is this fit's own copy (``to_array``); writing into a shared X would corrupt it.
+        self.ph = np.einsum("ij,ij->i", u[self.hr], v[self.hc])
+        self.x[self.hr, self.hc] = self.ph
 
     def moved_u(self, u, v) -> None:
+        self._write_held(u, v)
         self.utu, self.xtu = u.T @ u, self.x.T @ u
-        self._held_residual(u, v)
         if self.cfg.mu == 0.0:
             return
         m, d = v.shape
@@ -243,8 +237,8 @@ class _StructuredLoss:
         self.wuu = s + self.h2[:, None, None] * _before(s)
 
     def moved_v(self, u, v) -> None:
+        self._write_held(u, v)
         self.vtv, self.xv = v.T @ v, self.x @ v
-        self._held_residual(u, v)
         if self.cfg.mu == 0.0:
             return
         vv = np.einsum("ja,jb->jab", v, v)
@@ -258,7 +252,7 @@ class _StructuredLoss:
 
     def objective(self, u, v) -> float:
         c = self.cfg
-        fit = self.nnz - 2.0 * np.vdot(u, self.xv) + np.vdot(self.utu, self.vtv) - _sq(self.r)
+        fit = self.nnz_out + _sq(self.ph) - 2.0 * np.vdot(u, self.xv) + np.vdot(self.utu, self.vtv)
         total = float(fit + c.gamma1 * np.trace(self.utu) + c.gamma2 * np.trace(self.vtv))
         if c.mu != 0.0:
             quad = np.einsum("ja,jab,jb->", v, self.wuu, v)
@@ -267,8 +261,7 @@ class _StructuredLoss:
 
     def grad_u(self, u, v):
         c = self.cfg
-        held = _held_sum(self.r, v, self.hc, self.hr, u.shape[0])
-        grad = -2.0 * (self.xv - u @ self.vtv - held) + 2.0 * c.gamma1 * u
+        grad = -2.0 * (self.xv - u @ self.vtv) + 2.0 * c.gamma1 * u
         if c.mu != 0.0 and self.groups:
             us = u[self.order]
             term = np.concatenate([us[a:b] @ self.wvv[k] - self.wv[k] for k, a, b in self.groups])
@@ -277,8 +270,7 @@ class _StructuredLoss:
 
     def grad_v(self, u, v):
         c = self.cfg
-        held = _held_sum(self.r, u, self.hr, self.hc, v.shape[0])
-        grad = -2.0 * (self.xtu - v @ self.utu - held) + 2.0 * c.gamma2 * v
+        grad = -2.0 * (self.xtu - v @ self.utu) + 2.0 * c.gamma2 * v
         if c.mu != 0.0:
             grad -= 2.0 * c.mu * (self.wu - np.einsum("jab,jb->ja", self.wuu, v))
         return grad

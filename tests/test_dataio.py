@@ -346,6 +346,7 @@ class TestMatrixCsv:
             load_matrix_csv(bad_value)
         # Every error names the file and the 1-based line it concerns, and a
         # repeated triplet is rejected instead of merged.
+        beyond_int64 = r"does not fit int64, counts must be below 2\*\*63"
         cases = [
             ("", 1, "expected the 'N,<size>' header line, got ''"),
             ("N,2\n", 2, "expected the 'M,<size>' header line"),
@@ -358,6 +359,11 @@ class TestMatrixCsv:
             ("N,2\nM,3\n0,-1,1\n", 3, "'-1' is not a non-negative integer"),
             ("N,2\nM,3\n0,3,1\n", 3, r"cell \(0, 3\) out of range"),
             ("N,2\nM,3\n0,1,1\n1,2,1\n0,1,1\n", 5, "duplicate triplet '0,1,1', first on line 3"),
+            # A count of 2**63 or more fails on its own line, even in a header with no cell.
+            ("N,9999999999999999999\nM,1\n9999999999999999998,0,1\n", 1, beyond_int64),
+            ("N,9223372036854775808\nM,0\n", 1, beyond_int64),
+            ("N,2\nM,1\n1,00009223372036854775808,1\n", 3, beyond_int64),
+            ("N,2\nM," + "9" * 5000 + "\n", 2, beyond_int64),
         ]
         for k, (text, line, problem) in enumerate(cases):
             path = tmp_path / f"case{k}.csv"
@@ -365,6 +371,9 @@ class TestMatrixCsv:
             with pytest.raises(ValueError, match=problem) as info:
                 load_matrix_csv(path)
             assert str(info.value).startswith(f"{path}, line {line}: "), text
+        largest = tmp_path / "largest.csv"
+        largest.write_text("N,9223372036854775807\nM,0\n")
+        assert load_matrix_csv(largest).shape == (2**63 - 1, 0)
 
     def test_saved_matrix_loads_without_the_line_loop(self, tmp_path, monkeypatch):
         def line_loop(path):

@@ -292,6 +292,7 @@ def _one(n, m, cells, held, mu):
 @example(_one(3, 4, [(0, 1), (0, 3), (2, 0)], [], 0.2))  # no held-out cell, an empty row
 @example(_one(3, 4, [(0, 1), (2, 0)], [(1, 1), (1, 2), (2, 3)], 0.2))  # row 1 all held out
 @example(_one(3, 4, [(0, 1), (2, 0)], [(1, 1), (1, 2), (2, 3)], 0.0))
+@example(_one(3, 4, [(0, 1), (0, 3), (2, 0)], [(0, 1), (2, 0)], 0.2))  # every held cell a positive of x
 def test_structured_loss_matches_dense_reference(case):
     # rtol 1e-12 on each value; gradient entries near zero after cancellation
     # are held to the same 1e-12 relative to the gradient's largest entry.
