@@ -5,6 +5,7 @@ arguments and seed produces byte-identical output files.
 """
 
 import argparse
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -29,6 +30,19 @@ from .masks import build_masks  # noqa: F401  uncalled; hook hcwmf.cli.build_mas
 from .stats import build_consistency_vectors, welch_ttest_one_sided
 
 __all__ = ["build_parser", "main"]
+
+
+def _default(fn, param: str):
+    return inspect.signature(fn).parameters[param].default
+
+
+# Library defaults that flags repeat.  They are read at import, before a
+# wrapper without the signature can stand in a name's place (perfbench/child.py).
+_PARTICIPATION = _default(generate_corpus, "participation")
+_SYNTH_BIN_SECONDS = _default(generate_synthetic, "bin_seconds")
+_INGEST_BIN_SECONDS = _default(bin_records, "bin_seconds")
+_AR_ORDER = _default(run_sweep, "ar_order")
+_ALPHA = _default(welch_ttest_one_sided, "alpha")
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
@@ -80,18 +94,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--participation",
         type=float,
-        default=0.35,
+        default=_PARTICIPATION,
         help="per-(user, hashtag) participation probability for multi-hashtag corpora",
     )
-    p.add_argument("--bin-seconds", type=int, default=3600, help="seconds between generated bins")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--bin-seconds", type=int, default=_SYNTH_BIN_SECONDS, help="seconds between generated bins")
+    p.add_argument("--seed", type=int, default=SynthConfig.seed)
     p.add_argument("--out", required=True, help="output record file (newline-delimited JSON)")
 
     p = sub.add_parser("ingest", help="bin a record file into a user-time matrix CSV")
     p.set_defaults(run=_cmd_ingest)
     p.add_argument("--in", dest="infile", required=True, help="input record file")
     p.add_argument("--hashtag", required=True, help="hashtag to bin")
-    p.add_argument("--bin-seconds", type=int, default=3600)
+    p.add_argument("--bin-seconds", type=int, default=_INGEST_BIN_SECONDS)
     p.add_argument("--cols", type=int, default=None, help="matrix columns (default: +25%% headroom)")
     p.add_argument("--out", required=True, help="output matrix CSV (coordinate triplets)")
     p.add_argument(
@@ -114,9 +128,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", required=True, help="matrix CSV from ingest")
     p.add_argument("--methods", default=",".join(METHODS), help="comma-separated list")
     p.add_argument("--fractions", default="10,20,30,40,50", help="held-out percentages")
-    p.add_argument("--dims", default="10", help="comma-separated latent dimensions")
+    p.add_argument("--dims", default=str(TrainConfig.d), help="comma-separated latent dimensions")
     _add_train_flags(p)
-    p.add_argument("--ar-order", type=int, default=2, help="autoregressive baseline order")
+    p.add_argument("--ar-order", type=int, default=_AR_ORDER, help="autoregressive baseline order")
     p.add_argument("--clamp", action="store_true", help="clip predictions into [0,1] before RMSE")
     p.add_argument("--dataset", default=None, help="dataset tag for result rows (default: matrix stem)")
     p.add_argument("--seed", type=int, default=TrainConfig.seed)
@@ -125,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ttest", help="one-sided consistency t-test on a record file")
     p.set_defaults(run=_cmd_ttest)
     p.add_argument("--records", required=True, help="input record file")
-    p.add_argument("--alpha", type=float, default=0.01, help="significance level")
+    p.add_argument("--alpha", type=float, default=_ALPHA, help="significance level")
     p.add_argument("--seed", type=int, default=0, help="random partner assignment seed")
     p.add_argument("--out", default=None, help="write the JSON result here instead of stdout")
 

@@ -28,12 +28,22 @@ __all__ = [
 class HeldOutSet:
     """Positive cells removed from the matrix for evaluation.
 
-    ``of`` stores them as read-only int64 ``row`` and ``col`` arrays in row-major
-    order without duplicates; iteration yields (row, col) pairs in that order.
+    ``row`` and ``col`` are equal-length 1-d integer arrays in strictly
+    increasing row-major order, so no cell repeats; ``of`` stores them as
+    read-only int64 arrays.  Iteration yields (row, col) pairs in that order.
     """
 
     row: np.ndarray
     col: np.ndarray
+
+    def __post_init__(self):
+        r, c = self.row, self.col
+        if not all(isinstance(a, np.ndarray) and a.ndim == 1 and a.dtype.kind in "iu" for a in (r, c)):
+            raise ValueError("held-out row and col must be 1-d integer arrays")
+        if r.size != c.size:
+            raise ValueError(f"held-out row and col differ in length: {r.size} vs {c.size}")
+        if np.any((r[1:] < r[:-1]) | ((r[1:] == r[:-1]) & (c[1:] <= c[:-1]))):
+            raise ValueError("held-out cells must be distinct and in row-major order; build them with HeldOutSet.of")
 
     @classmethod
     def of(cls, cells: Iterable[tuple[int, int]] | np.ndarray) -> "HeldOutSet":
@@ -67,6 +77,10 @@ class MaskPair:
     def __post_init__(self):
         if self.w.shape != self.g.shape:
             raise ValueError(f"mask shape mismatch {self.w.shape} vs {self.g.shape}")
+        # The dense gradient uses W in place of W*W.
+        w = self.w.data
+        if not ((w == 0.0) | (w == 1.0)).all():
+            raise ValueError("indicator mask w must be binary (0 or 1)")
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -8,13 +8,15 @@ run, so both are checked here against the current library.
 
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
 
 from hcwmf import HeldOutSet, SparseBinaryMatrix, TrainConfig, build_masks, train
 
-CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+ROOT = Path(__file__).resolve().parents[1]
+CHILD = ROOT / "perfbench" / "child.py"
 
 
 @pytest.fixture(scope="module")
@@ -32,6 +34,25 @@ def test_every_hook_resolves(child):
         if cls:
             owner = getattr(owner, cls)
         assert callable(getattr(owner, attr, None)), f"{target}.{attr} does not resolve"
+
+
+def test_hook_only_imports_name_a_hook(child):
+    # An import the program never calls, kept only so a hook resolves, is
+    # marked "uncalled; hook hcwmf.<module>.<name>".  Each marker must name
+    # the line's own module and name, and an entry of HOOKS.
+    hooks = {f"{target}.{attr}" for target, attr, _, _ in child.HOOKS}
+    marked = []
+    for path in sorted((ROOT / "src" / "hcwmf").glob("*.py")):
+        for line in path.read_text(encoding="utf-8").splitlines():
+            if "uncalled; hook" not in line:
+                continue
+            found = re.fullmatch(r"from \.\w+ import (\w+)  # noqa: F401  uncalled; hook (\S+) of perfbench/child\.py", line)
+            assert found, f"{path.name}: malformed marker {line!r}"
+            hook = f"hcwmf.{path.stem}.{found[1]}"
+            assert found[2] == hook, f"{path.name}: {line!r} names {found[2]}"
+            assert hook in hooks, f"{hook} is marked as a hook but is not in HOOKS"
+            marked.append(hook)
+    assert marked
 
 
 def test_kernels_and_trainer_take_the_benchmark_arguments(child):

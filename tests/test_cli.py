@@ -1,11 +1,24 @@
 """End-to-end tests for the command-line interface."""
 
+import inspect
 import json
 
 import numpy as np
 import pytest
 
-from hcwmf import DenseMatrix, ResultsTable, load_matrix_csv, parse_records
+from hcwmf import (
+    DenseMatrix,
+    ResultsTable,
+    SynthConfig,
+    TrainConfig,
+    bin_records,
+    generate_corpus,
+    generate_synthetic,
+    load_matrix_csv,
+    parse_records,
+    run_sweep,
+    welch_ttest_one_sided,
+)
 from hcwmf.cli import _write_factor_csv, build_parser, main
 
 
@@ -265,3 +278,41 @@ class TestErrorHandling:
 
     def test_parser_builds(self):
         assert build_parser().prog == "hcwmf"
+
+    def test_parser_defaults_are_the_library_defaults(self):
+        def default(fn, param):
+            return inspect.signature(fn).parameters[param].default
+
+        parse = build_parser().parse_args
+        train_flags = {
+            "gamma1": TrainConfig.gamma1,
+            "gamma2": TrainConfig.gamma2,
+            "mu": TrainConfig.mu,
+            "learning_rate": TrainConfig.learning_rate,
+            "max_iters": TrainConfig.max_iters,
+            "rel_tol": TrainConfig.rel_tol,
+            "seed": TrainConfig.seed,
+        }
+        expected = {
+            ("synth", "--users", "1", "--bins", "1", "--out", "o"): {
+                "repeat_prob": SynthConfig.repeat_prob,
+                "trend_decay": SynthConfig.trend_decay,
+                "repeat_decay": SynthConfig.repeat_decay,
+                "seed": SynthConfig.seed,
+                "participation": default(generate_corpus, "participation"),
+                "bin_seconds": default(generate_synthetic, "bin_seconds"),
+            },
+            ("ingest", "--in", "i", "--hashtag", "h", "--out", "o"): {
+                "bin_seconds": default(bin_records, "bin_seconds"),
+            },
+            ("train", "--matrix", "m", "--trace", "t"): {"d": TrainConfig.d, **train_flags},
+            ("eval", "--matrix", "m", "--out", "o"): {
+                "dims": str(TrainConfig.d),
+                "ar_order": default(run_sweep, "ar_order"),
+                **train_flags,
+            },
+            ("ttest", "--records", "r"): {"alpha": default(welch_ttest_one_sided, "alpha")},
+        }
+        for argv, flags in expected.items():
+            args = vars(parse(list(argv)))
+            assert {name: args[name] for name in flags} == flags, argv[0]

@@ -204,8 +204,8 @@ class TestRunSweep:
             assert score[(r.method, r.fraction, 2)] == score[(r.method, r.fraction, 3)] == r.rmse
 
     def test_dense_x_is_built_only_for_methods_that_read_it(self, monkeypatch):
-        # markov and random never read the dense training matrix; the ar
-        # baseline reads it once per split.
+        # No baseline reads the dense training matrix: markov and ar take
+        # their lags from the split's coordinates.  Each fit builds its own.
         shapes = []
 
         def counting(self, _to_array=SparseBinaryMatrix.to_array):
@@ -215,10 +215,10 @@ class TestRunSweep:
         monkeypatch.setattr(SparseBinaryMatrix, "to_array", counting)
         x = _random_matrix(np.random.default_rng(56), 25, 18, 140)
         cfg = TrainConfig(max_iters=5)
-        run_sweep(x, ["markov", "random"], [20.0, 40.0], [2, 3], cfg)
-        assert shapes == []
         run_sweep(x, ["markov", "random", "ar"], [20.0, 40.0], [2, 3], cfg)
-        assert shapes == [(25, 18)] * 2
+        assert shapes == []
+        run_sweep(x, ["markov", "hcwmf", "ar"], [20.0, 40.0], [2, 3], cfg)
+        assert shapes == [(25, 18)] * 4
 
     def test_factorizations_match_a_dense_route_replay(self, monkeypatch):
         # Each fit of the sweep, replayed on the dense masks and scored from

@@ -8,10 +8,12 @@ from hcwmf import (
     HeldOutSet,
     MaskPair,
     SparseBinaryMatrix,
+    FactorPair,
     TrainConfig,
     build_attenuation,
     build_indicator,
     build_masks,
+    objective,
     train,
 )
 from hcwmf.masks import _onsets
@@ -34,6 +36,38 @@ class TestHeldOutSet:
     def test_coerces_indices_to_int(self):
         held = HeldOutSet.of([(np.int64(1), np.int64(2))])
         assert (1, 2) in held
+
+    def test_repeated_cell_rejected(self):
+        # Built directly with a repeated cell, the structured route used to
+        # count it twice: objective 2.8 against 1.8 for the same single cell.
+        x = SparseBinaryMatrix(2, 2, [(0, 0), (1, 1)])
+        ones = FactorPair(u=DenseMatrix(np.ones((2, 1))), v=DenseMatrix(np.ones((2, 1))))
+        cfg = TrainConfig(d=1)
+        with pytest.raises(ValueError, match="distinct and in row-major order"):
+            HeldOutSet(np.array([0, 0]), np.array([1, 1]))
+        held = HeldOutSet.of([(0, 1), (0, 1)])
+        assert objective(x, held, ones, cfg) == pytest.approx(1.8)
+        assert objective(x, build_masks(x, held), ones, cfg) == pytest.approx(1.8)
+
+    @pytest.mark.parametrize(
+        "row, col",
+        [
+            (np.array([1, 0]), np.array([0, 0])),
+            (np.array([0, 0]), np.array([2, 1])),
+            (np.array([0]), np.array([0, 1])),
+            (np.array([[0]]), np.array([[1]])),
+            (np.array([0.0]), np.array([1.0])),
+            ([0], [1]),
+        ],
+    )
+    def test_only_canonical_coordinates_accepted(self, row, col):
+        with pytest.raises(ValueError, match="held-out"):
+            HeldOutSet(row, col)
+
+    def test_canonical_arrays_accepted_directly(self):
+        held = HeldOutSet(np.array([0, 0, 2]), np.array([1, 3, 0]))
+        assert held == HeldOutSet.of([(2, 0), (0, 3), (0, 1)])
+        assert len(HeldOutSet(np.array([], dtype=np.int64), np.array([], dtype=np.int64))) == 0
 
 
 class TestBuildIndicator:
@@ -123,6 +157,14 @@ class TestBuildAttenuation:
 
 
 class TestMaskPair:
+    @pytest.mark.parametrize("value", [0.5, -1.0, 2.0])
+    def test_non_binary_indicator_rejected(self, value):
+        # The dense gradient uses W in place of W*W, exact only for 0/1 weights.
+        w = np.ones((2, 3))
+        w[1, 2] = value
+        with pytest.raises(ValueError, match="binary"):
+            MaskPair(w=DenseMatrix(w), g=DenseMatrix(np.ones((2, 3))))
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mask shape mismatch"):
             MaskPair(w=DenseMatrix(np.ones((2, 3))), g=DenseMatrix(np.ones((3, 2))))

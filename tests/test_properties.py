@@ -31,19 +31,21 @@ from hcwmf import (
     TrainConfig,
     build_attenuation,
     build_masks,
+    fit_ar,
     fit_markov,
     grad_u,
     grad_v,
     load_matrix_csv,
     objective,
     parse_records,
+    predict_ar,
     predict_markov,
     save_matrix_csv,
     split_mask,
     write_records,
 )
 from hcwmf.dataio import _load_matrix_lines
-from hcwmf.harness import _markov_predictions
+from hcwmf.harness import _ar_predictions, _markov_predictions
 
 
 @st.composite
@@ -241,6 +243,8 @@ def _dense_markov_oracle(x):
 @settings(deadline=None)
 @given(row_boundary_splits())
 def test_markov_from_coordinates_matches_dense_oracle(case):
+    # A held-out (i+1, 0) sits next to a training (i, m-1): a flat-index lag
+    # that ignored the row boundary would read the previous row.
     x, x_train, held = case
     for matrix in (x, x_train):
         assert fit_markov(matrix).t.data.tolist() == _dense_markov_oracle(matrix).tolist()
@@ -249,6 +253,18 @@ def test_markov_from_coordinates_matches_dense_oracle(case):
     arr = x_train.to_array()
     expected = [by_state[int(arr[r, c - 1])] if c > 0 else by_state[0] for r, c in held]
     assert _markov_predictions(x_train, held).tolist() == expected
+    # The AR baseline reads its lags the same way: bit-equal to the per-cell
+    # fit_ar/predict_ar loop over dense rows, or the same error for m <= order.
+    for order in (1, 2, 3):
+        if x_train.cols <= order:
+            with pytest.raises(ValueError) as want:
+                fit_ar(arr[held.row[0]], p=order)
+            with pytest.raises(ValueError, match=re.escape(str(want.value))):
+                _ar_predictions(x_train, held, order)
+            continue
+        models = {r: fit_ar(arr[r], p=order) for r, _ in held}
+        expected = np.array([predict_ar(models[r], arr[r, :c]) for r, c in held])
+        assert _ar_predictions(x_train, held, order).tobytes() == expected.tobytes()
 
 
 @st.composite
