@@ -6,6 +6,7 @@ all users; Random flips a seeded fair coin per test cell; the autoregressive
 model fits one OLS regression per user row and predicts one step ahead.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,9 +60,7 @@ class ArModel:
             raise ValueError(
                 f"expected {self.order} coefficients, got {len(self.coefficients)}"
             )
-        if not all(np.isfinite(c) for c in self.coefficients) or not np.isfinite(
-            self.intercept
-        ):
+        if not all(map(math.isfinite, self.coefficients)) or not math.isfinite(self.intercept):
             raise ValueError("AR parameters must be finite")
 
 
@@ -122,11 +121,15 @@ def fit_ar(series, p: int = 2) -> ArModel:
     if t <= p:
         raise ValueError(f"series of length {t} cannot fit order {p}")
     y = x[p:]
-    design = np.column_stack([np.ones(t - p)] + [x[p - k : t - k] for k in range(1, p + 1)])
+    # Column 0 is the intercept's, column k the value k steps back.
+    design = np.ones((t - p, p + 1))
+    for k in range(1, p + 1):
+        design[:, k] = x[p - k : t - k]
     coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
     if rank < p + 1:
         return ArModel(order=p, intercept=float(np.mean(y)), coefficients=(0.0,) * p)
-    return ArModel(order=p, intercept=float(coef[0]), coefficients=tuple(float(c) for c in coef[1:]))
+    intercept, *phi = coef.tolist()
+    return ArModel(order=p, intercept=intercept, coefficients=tuple(phi))
 
 
 def predict_ar(model: ArModel, history) -> float:

@@ -17,8 +17,11 @@ The masks pick the route.  A ``MaskPair`` is evaluated over dense N x M
 arrays; that route is the reference specification.  A ``HeldOutSet`` takes
 the structured route: W is 1 except on its cells, where the fit's own dense X
 holds U V^T, and G is anchored at each row's first positive, so neither mask
-is stored.  That route makes two BLAS products with X per iteration plus d x d
-algebra, holds no other N x M array, and agrees with the reference to rounding.
+is stored.  That route keeps its rows in onset order, so each onset group is
+one slice of U and takes one d x d product in the U-gradient, and it writes
+U V^T onto the held-out cells in blocks, so no |H| x d gather exists.  It makes
+two BLAS products with X per iteration plus d x d algebra, holds no other N x M
+array, and agrees with the reference to rounding.
 """
 
 import math
@@ -132,7 +135,8 @@ class _DenseLoss:
 
     After U or V changes, ``moved_u`` or ``moved_v`` (after both, ``moved``)
     must run before the next gradient or objective.  Here each rebuilds
-    U V^T, so the half-steps and the objective read the same product.
+    U V^T, so the half-steps and the objective read the same product.  Rows
+    stay in the caller's order.
     """
 
     def __init__(self, x: SparseBinaryMatrix, masks: MaskPair, cfg: TrainConfig):
@@ -143,6 +147,11 @@ class _DenseLoss:
         self.p = u @ v.T
 
     moved_u = moved_v = moved
+
+    def rows_in(self, u):
+        return u
+
+    rows_out = rows_in
 
     def objective(self, u, v) -> float:
         c = self.cfg
@@ -171,6 +180,9 @@ def _after(a):
     return out
 
 
+_HELD_BLOCK = 2048  # held-out cells per block of p on H
+
+
 class _StructuredLoss:
     """The same loss with no N x M array but the dense X.
 
@@ -185,41 +197,69 @@ class _StructuredLoss:
     quadratic in each v_j with ``wu[j]`` = sum_i omega_{k_i j} u_i and
     ``wuu[j]`` = sum_i omega_{k_i j} u_i u_i^T.
 
-    ``moved_u`` and ``moved_v`` write p on H into X, then recompute what depends
-    on the factor that changed (X^T U or X V, the Gramians, the group sums),
-    and the objective and the next half-step share it.
+    The fit keeps its rows in onset order: a stable sort by onset, with the
+    rows that have no positive last.  ``rows_in`` and ``rows_out`` move U
+    between the caller's order and this one.  Each onset group is then one
+    slice ``u[a:b]``, and its rows of the U-gradient are
+    2(u_i (V^T V + gamma1 I + mu wvv[k]) - (X V)_i - mu wv[k]): one d x d
+    product per group.  Rows with no onset, and every row when mu = 0, take
+    V^T V + gamma1 I.
+
+    ``moved_u`` and ``moved_v`` write p on H into X, computed in blocks of
+    ``_HELD_BLOCK`` cells so that no |H| x d gather exists, then recompute
+    what depends on the factor that changed (X^T U or X V, the Gramians, the
+    group sums), and the objective and the next half-step share it.
     """
 
     def __init__(self, x: SparseBinaryMatrix, held: HeldOutSet, cfg: TrainConfig):
         _check_in_shape(held.row, held.col, x.shape, "held-out cell")
-        # X comes first, so a shape too large to hold fails before any other N- or M-sized array.
-        self.x = x.to_array()
+        n, m = x.shape
+        onset = _onsets(x)
+        # Row i of the caller is row rank[i] of the fit.
+        self.perm = np.argsort(onset, kind="stable")
+        self.rank = np.empty(n, dtype=np.int64)
+        self.rank[self.perm] = np.arange(n)
+        # X is the fit's one N x M array and its own copy: p on H is written into it.
+        # A stable sort keeps each row's columns in order, so the cells reach it row-major.
+        row = self.rank[x.row]
+        cells = np.argsort(row, kind="stable")
+        self.x = SparseBinaryMatrix(n, m, np.column_stack((row[cells], x.col[cells]))).to_array()
         self.cfg = cfg
-        m = x.cols
-        self.hr, self.hc = held.row, held.col
+        # Held-out cells as sorted flat indices into X, and their rows and columns.
+        self.held = np.sort(self.rank[held.row] * m + held.col)
+        self.hr, self.hc = np.divmod(self.held, m)
+        self.ph = np.empty(self.held.size)
         # Counted before the first write of p on H replaces X's values there.
-        self.nnz_out = x.nnz - self.x[self.hr, self.hc].sum()
+        self.nnz_out = x.nnz - self.x.take(self.held).sum()
+        # Each group is (onset, start, end): rows start..end-1 share that onset.
+        self.groups, self.n_on = [], 0
         if cfg.mu == 0.0:
             return
-        onset = _onsets(x)
-        h = _ramp(m)
-        self.h2 = h * h
-        # Rows with an onset, sorted by it; each group is (onset, start, end) in that order.
-        order = np.argsort(onset, kind="stable")
-        order = order[onset[order] < m]
-        first = onset[order]
+        first = onset[self.perm]
+        self.n_on = int(np.searchsorted(first, m))
+        first = first[: self.n_on]
         starts = np.flatnonzero(np.diff(first, prepend=-1))
         ends = np.append(starts[1:], first.size)
-        self.order = order
         self.groups = list(zip(first[starts].tolist(), starts.tolist(), ends.tolist()))
+        h = _ramp(m)
+        self.h2 = h * h
         count = np.bincount(first, minlength=m).astype(float)
         # sum_k omega_kj n_k: the consistency term's constant part, per column.
         self.c0 = float(np.sum(count + self.h2 * _before(count)))
 
+    def rows_in(self, u):
+        return u[self.perm]
+
+    def rows_out(self, u):
+        return u[self.rank]
+
     def _write_held(self, u, v) -> None:
-        # X is this fit's own copy (``to_array``); writing into a shared X would corrupt it.
-        self.ph = np.einsum("ij,ij->i", u[self.hr], v[self.hc])
-        self.x[self.hr, self.hc] = self.ph
+        ph, hr, hc = self.ph, self.hr, self.hc
+        for a in range(0, ph.size, _HELD_BLOCK):
+            b = a + _HELD_BLOCK
+            # One block's gathers at a time: each pair is freed before the next is taken.
+            np.einsum("ij,ij->i", u.take(hr[a:b], axis=0), v.take(hc[a:b], axis=0), out=ph[a:b])
+        self.x.put(self.held, ph)
 
     def moved_u(self, u, v) -> None:
         self._write_held(u, v)
@@ -227,11 +267,10 @@ class _StructuredLoss:
         if self.cfg.mu == 0.0:
             return
         m, d = v.shape
-        us = u[self.order]
         su, s = np.zeros((m, d)), np.zeros((m, d, d))
         for k, a, b in self.groups:
-            su[k] = us[a:b].sum(axis=0)
-            s[k] = us[a:b].T @ us[a:b]
+            su[k] = u[a:b].sum(axis=0)
+            s[k] = u[a:b].T @ u[a:b]
         # Column j sums its own group and, weighted h_j^2, every earlier one.
         self.wu = su + self.h2[:, None] * _before(su)
         self.wuu = s + self.h2[:, None, None] * _before(s)
@@ -261,11 +300,14 @@ class _StructuredLoss:
 
     def grad_u(self, u, v):
         c = self.cfg
-        grad = -2.0 * (self.xv - u @ self.vtv) + 2.0 * c.gamma1 * u
-        if c.mu != 0.0 and self.groups:
-            us = u[self.order]
-            term = np.concatenate([us[a:b] @ self.wvv[k] - self.wv[k] for k, a, b in self.groups])
-            grad[self.order] += 2.0 * c.mu * term
+        base = self.vtv + c.gamma1 * np.eye(v.shape[1])
+        grad = np.empty_like(u)
+        for k, a, b in self.groups:
+            np.matmul(u[a:b], base + c.mu * self.wvv[k], out=grad[a:b])
+            grad[a:b] -= c.mu * self.wv[k]
+        np.matmul(u[self.n_on :], base, out=grad[self.n_on :])
+        grad -= self.xv
+        grad *= 2.0
         return grad
 
     def grad_v(self, u, v):
@@ -285,14 +327,17 @@ def _loss(x: SparseBinaryMatrix, masks, cfg: TrainConfig):
 
 
 def _at(x: SparseBinaryMatrix, masks, factors: FactorPair, cfg: TrainConfig):
-    """The loss of (x, masks, cfg), moved to ``factors``, and their arrays."""
+    """The loss of (x, masks, cfg), moved to ``factors``, and their arrays.
+
+    U's rows come in the loss' order (``rows_in``).
+    """
     loss = _loss(x, masks, cfg)
     n, m = x.shape
     if factors.u.rows != n or factors.v.rows != m:
         raise ValueError(
             f"factors sized {factors.u.rows}x{factors.v.rows} do not match matrix {n}x{m}"
         )
-    u, v = factors.u.data, factors.v.data
+    u, v = loss.rows_in(factors.u.data), factors.v.data
     loss.moved(u, v)
     return loss, u, v
 
@@ -310,7 +355,7 @@ def grad_u(
 ) -> DenseMatrix:
     """Exact gradient of the loss with respect to U."""
     loss, u, v = _at(x, masks, factors, cfg)
-    return DenseMatrix(loss.grad_u(u, v))
+    return DenseMatrix(loss.rows_out(loss.grad_u(u, v)))
 
 
 def grad_v(
@@ -354,6 +399,7 @@ def train(
     loss = _loss(x, masks, cfg)
     n, m = x.shape
     u, v = _init_factors(n, m, cfg.d, cfg.seed)
+    u = loss.rows_in(u)
     lr = cfg.learning_rate
 
     loss.moved(u, v)
@@ -380,7 +426,7 @@ def train(
             break
         prev = cur
 
-    factors = FactorPair(u=DenseMatrix(u), v=DenseMatrix(v))
+    factors = FactorPair(u=DenseMatrix(loss.rows_out(u)), v=DenseMatrix(v))
     return factors, TrainTrace(
         initial_objective=initial, objective_per_iter=tuple(trace), converged=converged
     )

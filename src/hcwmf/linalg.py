@@ -69,13 +69,22 @@ def _coords(cells: Iterable[tuple[int, int]] | np.ndarray) -> tuple[np.ndarray, 
         arr = arr.reshape(0, 2)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError(f"cells must be (row, col) pairs, got shape {arr.shape}")
-    order = np.lexsort((arr[:, 1], arr[:, 0]))
-    row, col = arr[order, 0], arr[order, 1]
-    new = np.ones(row.size, dtype=bool)
-    new[1:] = (row[1:] != row[:-1]) | (col[1:] != col[:-1])
-    row, col = row[new], col[new]
+    row, col = arr[:, 0], arr[:, 1]
+    if _row_major(row, col):
+        row, col = row.copy(), col.copy()
+    else:
+        order = np.lexsort((col, row))
+        row, col = row[order], col[order]
+        new = np.ones(row.size, dtype=bool)
+        new[1:] = (row[1:] != row[:-1]) | (col[1:] != col[:-1])
+        row, col = row[new], col[new]
     row.flags.writeable = col.flags.writeable = False
     return row, col
+
+
+def _row_major(row: np.ndarray, col: np.ndarray) -> bool:
+    """Whether the cells (row, col) are distinct and in row-major order."""
+    return not np.any((row[1:] < row[:-1]) | ((row[1:] == row[:-1]) & (col[1:] <= col[:-1])))
 
 
 def _check_in_shape(row: np.ndarray, col: np.ndarray, shape: tuple[int, int], what: str) -> None:

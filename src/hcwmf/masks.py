@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DenseMatrix, SparseBinaryMatrix, _check_in_shape, _coords
+from .linalg import DenseMatrix, SparseBinaryMatrix, _check_in_shape, _coords, _row_major
 
 __all__ = [
     "HeldOutSet",
@@ -42,7 +42,7 @@ class HeldOutSet:
             raise ValueError("held-out row and col must be 1-d integer arrays")
         if r.size != c.size:
             raise ValueError(f"held-out row and col differ in length: {r.size} vs {c.size}")
-        if np.any((r[1:] < r[:-1]) | ((r[1:] == r[:-1]) & (c[1:] <= c[:-1]))):
+        if not _row_major(r, c):
             raise ValueError("held-out cells must be distinct and in row-major order; build them with HeldOutSet.of")
 
     @classmethod

@@ -216,6 +216,8 @@ class TestArModel:
             ArModel(order=1, intercept=float("nan"), coefficients=(0.5,))
         with pytest.raises(ValueError, match="finite"):
             ArModel(order=1, intercept=0.0, coefficients=(float("inf"),))
+        with pytest.raises(ValueError, match="finite"):
+            ArModel(order=2, intercept=float("-inf"), coefficients=(0.5, 0.5))
 
     def test_rejects_non_positive_order(self):
         with pytest.raises(ValueError, match=">= 1"):

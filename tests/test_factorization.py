@@ -25,6 +25,7 @@ from hcwmf import (
     predict,
     train,
 )
+from hcwmf.masks import _onsets
 
 ONE_CELL = SparseBinaryMatrix(1, 1, {(0, 0)})
 ONES_1x1 = MaskPair(w=DenseMatrix(np.ones((1, 1))), g=DenseMatrix(np.ones((1, 1))))
@@ -330,6 +331,9 @@ class TestStructuredTrain:
     @pytest.mark.parametrize("mu", [0.0, 0.2])
     def test_matches_dense_route(self, mu):
         x_train, held = _split_instance(np.random.default_rng(21), 40, 30, 0.2, 0.3)
+        # The structured fit reorders rows by onset, so a missing un-permute shows.
+        onset = _onsets(x_train)
+        assert np.any(onset[1:] < onset[:-1])
         cfg = TrainConfig(d=3, mu=mu, learning_rate=0.005, max_iters=150, rel_tol=1e-30, seed=5)
         fd, td = train(x_train, build_masks(x_train, held), cfg)
         fs, ts = train(x_train, held, cfg)
@@ -378,6 +382,22 @@ class TestStructuredTrain:
             tracemalloc.stop()
         x_bytes = n * m * 8
         assert (peak - x_bytes) / x_bytes <= 1.5
+
+    def test_peak_memory_of_the_held_out_write(self):
+        # |H| d is several times N M, so whole |H| x d gathers of U and V
+        # would outweigh X.  p on H is computed in blocks, so the peak is X
+        # plus a few N x d arrays; the |H|-long index vectors weigh two here.
+        n, m, d = 4000, 20, 20
+        x_train, held = _split_instance(np.random.default_rng(24), n, m, 0.6, 0.8)
+        assert len(held) * d > 8 * n * m
+        cfg = TrainConfig(d=d, mu=0.2, max_iters=3, rel_tol=1e-30)
+        tracemalloc.start()
+        try:
+            train(x_train, held, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (n * m + 8 * n * d)
 
 
 class TestPredict:

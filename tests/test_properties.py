@@ -3,9 +3,10 @@
 Sparse matrices and held-out sets store their cells as sorted int64
 coordinate arrays.  Each storage property checks one consumer of those arrays
 against a plain-Python oracle over sets of (row, col) tuples.  The structured
-loss is checked against the dense reference kernels, the record parser
-against per-line ``json.loads``, the record writer against per-event
-``json.dumps``, and the matrix reader against its line loop.
+loss is checked against the dense reference kernels, ``fit_ar`` against its
+``np.column_stack`` design, the record parser against per-line
+``json.loads``, the record writer against per-event ``json.dumps``, and the
+matrix reader against its line loop.
 """
 
 import io
@@ -309,6 +310,9 @@ def _one(n, m, cells, held, mu):
 @example(_one(3, 4, [(0, 1), (2, 0)], [(1, 1), (1, 2), (2, 3)], 0.2))  # row 1 all held out
 @example(_one(3, 4, [(0, 1), (2, 0)], [(1, 1), (1, 2), (2, 3)], 0.0))
 @example(_one(3, 4, [(0, 1), (0, 3), (2, 0)], [(0, 1), (2, 0)], 0.2))  # every held cell a positive of x
+@example(_one(5, 5, [(0, 3), (1, 0), (2, 3), (3, 1), (4, 0)], [(2, 4)], 0.2))  # rows out of onset order
+@example(_one(4, 5, [(0, 2), (2, 2), (2, 4), (3, 0)], [(1, 3)], 0.2))  # empty row 1 between group 2's rows, held out
+@example(_one(4, 5, [(0, 2), (2, 2), (2, 4), (3, 0)], [(1, 3)], 0.0))
 def test_structured_loss_matches_dense_reference(case):
     # rtol 1e-12 on each value; gradient entries near zero after cancellation
     # are held to the same 1e-12 relative to the gradient's largest entry.
@@ -320,6 +324,47 @@ def test_structured_loss_matches_dense_reference(case):
         want = kernel(x_train, dense, factors, cfg).data
         got = kernel(x_train, held, factors, cfg).data
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max(initial=1.0))
+
+
+def _fit_ar_column_stack(series, p):
+    """``fit_ar`` as first written: the design built by ``np.column_stack``."""
+    x = np.asarray(series, dtype=float)
+    t = x.size
+    y = x[p:]
+    design = np.column_stack([np.ones(t - p)] + [x[p - k : t - k] for k in range(1, p + 1)])
+    coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+    if rank < p + 1:
+        return float(np.mean(y)), (0.0,) * p
+    return float(coef[0]), tuple(float(c) for c in coef[1:])
+
+
+@st.composite
+def ar_series(draw):
+    """(series, p): 0/1 or real series of length p + 1 to 40, at orders 1-4."""
+    p = draw(st.integers(1, 4))
+    size = st.integers(p + 1, 40)
+    if draw(st.booleans()):
+        series = draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=p + 1, max_size=40))
+    else:
+        series = draw(st.lists(st.floats(-1e3, 1e3), min_size=p + 1, max_size=40))
+    kind = draw(st.sampled_from(["drawn", "constant", "zeros"]))
+    if kind != "drawn":
+        series = [series[0] if kind == "constant" else 0.0] * draw(size)
+    return series, p
+
+
+@settings(deadline=None)
+@given(ar_series())
+@example(([0.0, 1.0], 1))  # length p + 1
+@example(([1.0, 0.0, 1.0, 1.0, 0.0], 4))
+@example(([0.0] * 6, 2))
+@example(([0.7] * 9, 3))
+def test_fit_ar_matches_the_column_stack_design_bit_for_bit(case):
+    series, p = case
+    model = fit_ar(series, p)
+    intercept, phi = _fit_ar_column_stack(series, p)
+    assert model.intercept.hex() == intercept.hex()
+    assert [c.hex() for c in model.coefficients] == [c.hex() for c in phi]
 
 
 def _parse_oracle(lines):
