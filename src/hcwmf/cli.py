@@ -211,6 +211,13 @@ def _cmd_train(args) -> int:
         f"trained d={cfg.d} mu={cfg.mu}: {trace.iterations_run} iterations, "
         f"converged={trace.converged}, objective={final!r}"
     )
+    zero = [name for name, f in (("U", factors.u), ("V", factors.v)) if not f.data.any()]
+    if zero:
+        print(
+            f"warning: the fit ended with {' and '.join(zero)} all zeros, so every score is 0; "
+            "a smaller --lambda may avoid this",
+            file=sys.stderr,
+        )
     if args.factors is not None:
         _write_factor_csv(factors.u, f"{args.factors}_u.csv")
         _write_factor_csv(factors.v, f"{args.factors}_v.csv")

@@ -324,13 +324,18 @@ def cumulative_counts(
     return out
 
 
+_CSV_CHUNK = 1 << 16  # triplets per formatted write of save_matrix_csv
+
+
 def save_matrix_csv(matrix: SparseBinaryMatrix, path) -> None:
     """Serialize as coordinate triplets under a two-line N/M header."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"N,{matrix.rows}\n")
         fh.write(f"M,{matrix.cols}\n")
-        for r, c in zip(matrix.row.tolist(), matrix.col.tolist()):
-            fh.write(f"{r},{c},1\n")
+        # One %-format per chunk; chunks keep the text of a large matrix off the peak.
+        for a in range(0, matrix.nnz, _CSV_CHUNK):
+            pairs = np.column_stack((matrix.row[a : a + _CSV_CHUNK], matrix.col[a : a + _CSV_CHUNK]))
+            fh.write("%d,%d,1\n" * len(pairs) % tuple(pairs.ravel().tolist()))
 
 
 def load_matrix_csv(path) -> SparseBinaryMatrix:

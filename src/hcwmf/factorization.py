@@ -19,9 +19,10 @@ the structured route: W is 1 except on its cells, where the fit's own dense X
 holds U V^T, and G is anchored at each row's first positive, so neither mask
 is stored.  That route keeps its rows in onset order, so each onset group is
 one slice of U and takes one d x d product in the U-gradient, and it writes
-U V^T onto the held-out cells in blocks, so no |H| x d gather exists.  It makes
-two BLAS products with X per iteration plus d x d algebra, holds no other N x M
-array, and agrees with the reference to rounding.
+U V^T onto the held-out cells in blocks, so no |H| x d gather exists.  Its X
+spans only the columns from the first to the last that holds a positive or a
+held-out cell.  It makes two BLAS products with that X per iteration plus d x d
+algebra, holds no other N x M array, and agrees with the reference to rounding.
 """
 
 import math
@@ -184,7 +185,7 @@ _HELD_BLOCK = 2048  # held-out cells per block of p on H
 
 
 class _StructuredLoss:
-    """The same loss with no N x M array but the dense X.
+    """The same loss with no N x M array: X is dense over its occupied columns only.
 
     With H the held-out cells and P = U V^T, the fit term sums (x - p)^2 off H.
     X holds p on H (Srebro & Jaakkola, ICML 2003), so the fit term is
@@ -205,6 +206,10 @@ class _StructuredLoss:
     product per group.  Rows with no onset, and every row when mu = 0, take
     V^T V + gamma1 I.
 
+    X holds the columns lo..hi-1, from the first to the last that holds a
+    positive or a held-out cell; every column outside is 0, so X V reads only
+    V's rows lo..hi-1 and X^T U is 0 outside them.
+
     ``moved_u`` and ``moved_v`` write p on H into X, computed in blocks of
     ``_HELD_BLOCK`` cells so that no |H| x d gather exists, then recompute
     what depends on the factor that changed (X^T U or X V, the Gramians, the
@@ -219,15 +224,22 @@ class _StructuredLoss:
         self.perm = np.argsort(onset, kind="stable")
         self.rank = np.empty(n, dtype=np.int64)
         self.rank[self.perm] = np.arange(n)
-        # X is the fit's one N x M array and its own copy: p on H is written into it.
-        # A stable sort keeps each row's columns in order, so the cells reach it row-major.
+        # X is the fit's own dense copy of x's columns lo..hi-1 (the rest are 0), and
+        # p on H is written into it.  A stable sort keeps each row's columns in order,
+        # so the cells reach it row-major.
+        occupied = np.concatenate((x.col, held.col))
+        self.lo, self.hi = (int(occupied.min()), int(occupied.max()) + 1) if occupied.size else (0, 0)
+        w = self.hi - self.lo
         row = self.rank[x.row]
         cells = np.argsort(row, kind="stable")
-        self.x = SparseBinaryMatrix(n, m, np.column_stack((row[cells], x.col[cells]))).to_array()
+        self.x = SparseBinaryMatrix(
+            n, w, np.column_stack((row[cells], x.col[cells] - self.lo))
+        ).to_array()
         self.cfg = cfg
-        # Held-out cells as sorted flat indices into X, and their rows and columns.
-        self.held = np.sort(self.rank[held.row] * m + held.col)
-        self.hr, self.hc = np.divmod(self.held, m)
+        # Held-out cells as sorted flat indices into X, and their rows of U and of V.
+        self.held = np.sort(self.rank[held.row] * w + (held.col - self.lo))
+        self.hr, self.hc = np.divmod(self.held, w)
+        self.hc += self.lo
         self.ph = np.empty(self.held.size)
         # Counted before the first write of p on H replaces X's values there.
         self.nnz_out = x.nnz - self.x.take(self.held).sum()
@@ -263,10 +275,11 @@ class _StructuredLoss:
 
     def moved_u(self, u, v) -> None:
         self._write_held(u, v)
-        self.utu, self.xtu = u.T @ u, self.x.T @ u
+        m, d = v.shape
+        self.utu, self.xtu = u.T @ u, np.zeros((m, d))
+        self.xtu[self.lo : self.hi] = self.x.T @ u
         if self.cfg.mu == 0.0:
             return
-        m, d = v.shape
         su, s = np.zeros((m, d)), np.zeros((m, d, d))
         for k, a, b in self.groups:
             su[k] = u[a:b].sum(axis=0)
@@ -277,7 +290,7 @@ class _StructuredLoss:
 
     def moved_v(self, u, v) -> None:
         self._write_held(u, v)
-        self.vtv, self.xv = v.T @ v, self.x @ v
+        self.vtv, self.xv = v.T @ v, self.x @ v[self.lo : self.hi]
         if self.cfg.mu == 0.0:
             return
         vv = np.einsum("ja,jb->jab", v, v)
@@ -389,16 +402,19 @@ def train(
     A ``MaskPair`` is evaluated over dense N x M arrays, the reference route.
     A ``HeldOutSet`` takes the structured route: W is 1 except on its cells,
     G is anchored at each row's first positive in ``x``, and the fit holds no
-    N x M array but ``x`` as one dense array, agreeing with the reference to
-    rounding.  ``HeldOutSet.of(())`` fits every cell.
+    N x M array: ``x`` is one dense array over the columns from its first to its
+    last that holds a positive or a held-out cell.  It agrees with the
+    reference to rounding.  ``HeldOutSet.of(())`` fits every cell.
 
     Raises FloatingPointError if the objective stops being finite, naming the
     iteration at which that happened.
     """
     cfg = cfg if cfg is not None else TrainConfig()
-    loss = _loss(x, masks, cfg)
     n, m = x.shape
+    # The factors are drawn before the loss is built, so a shape too large for
+    # memory fails on V's M x d allocation before any M-long array is written.
     u, v = _init_factors(n, m, cfg.d, cfg.seed)
+    loss = _loss(x, masks, cfg)
     u = loss.rows_in(u)
     lr = cfg.learning_rate
 

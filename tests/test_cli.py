@@ -143,6 +143,27 @@ class TestTrain:
         v = float((tmp_path / "f_v.csv").read_text().strip())
         assert abs(u * v - 1.0) < 1e-2
 
+    @pytest.mark.parametrize("step, collapses", [("5", True), ("0.001", False)])
+    def test_says_on_stderr_when_a_factor_ends_all_zeros(self, tmp_path, capsys, step, collapses):
+        matrix_path = tmp_path / "small.csv"
+        matrix_path.write_text("N,4\nM,5\n0,0,1\n0,1,1\n1,1,1\n2,2,1\n3,0,1\n3,3,1\n")
+        argv = ["train", "--matrix", str(matrix_path), "--d", "2", "--lambda", step,
+                "--max-iters", "5", "--trace", str(tmp_path / "t.csv"), "--factors", str(tmp_path / "f")]
+        code, out, err = _run(capsys, *argv)
+        assert code == 0
+        u = np.loadtxt(tmp_path / "f_u.csv", delimiter=",")
+        v = np.loadtxt(tmp_path / "f_v.csv", delimiter=",")
+        assert (not u.any() and not v.any()) == collapses
+        if collapses:
+            assert err == (
+                "warning: the fit ended with U and V all zeros, so every score is 0; "
+                "a smaller --lambda may avoid this\n"
+            )
+        else:
+            assert err == ""
+        # stdout keeps its two lines either way.
+        assert [ln.split(" ")[0] for ln in out.splitlines()] == ["trained", "wrote"]
+
     def test_factor_csv_bytes(self, tmp_path):
         path = tmp_path / "f.csv"
         _write_factor_csv(DenseMatrix([[0.0, 1e-05], [0.1, 1e16]]), path)
@@ -257,7 +278,7 @@ class TestErrorHandling:
 
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_allocation_failure_reports_through_handler(self, command, tmp_path, capsys):
-        # A 2**20 x 2**30 shape asks for an 8 PiB dense mask, which numpy
+        # A 2**20 x 2**30 shape asks for an 80 GiB V (2**30 x 10), which numpy
         # refuses at once without committing any memory.
         matrix_path = tmp_path / "huge.csv"
         matrix_path.write_text("N,1048576\nM,1073741824\n0,0,1\n")

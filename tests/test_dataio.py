@@ -322,6 +322,23 @@ class TestMatrixCsv:
         save_matrix_csv(SparseBinaryMatrix(2, 3, [(1, 2), (0, 1)]), path)
         assert path.read_bytes() == b"N,2\nM,3\n0,1,1\n1,2,1\n"
 
+    @pytest.mark.parametrize(
+        "nnz, chunk", [(0, None), (1, None), (5, 2), (6, 2), (70_000, None)]
+    )  # chunk None keeps the module's own; 70,000 crosses it
+    def test_bytes_match_the_per_line_writer(self, tmp_path, monkeypatch, nnz, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(dataio, "_CSV_CHUNK", chunk)
+        n, m = 1000, 200
+        flat = np.random.default_rng(nnz).choice(n * m, size=nnz, replace=False)
+        matrix = SparseBinaryMatrix(n, m, np.column_stack(np.divmod(flat, m)))
+        # The writer as first written: one f-string per triplet.
+        want = f"N,{n}\nM,{m}\n" + "".join(
+            f"{r},{c},1\n" for r, c in zip(matrix.row.tolist(), matrix.col.tolist())
+        )
+        path = tmp_path / "m.csv"
+        save_matrix_csv(matrix, path)
+        assert path.read_bytes() == want.encode()
+
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(15)
         for trial in range(10):

@@ -318,9 +318,13 @@ class TestTrain:
             train(SparseBinaryMatrix(2, 3, []), ONES_1x1, TrainConfig(d=1))
 
 
-def _split_instance(rng, n, m, density, held_share):
-    """(x_train, held): random positives with a share of them held out."""
-    cells = np.argwhere(rng.random((n, m)) < density)
+def _split_instance(rng, n, m, density, held_share, window=None):
+    """(x_train, held): random positives with a share of them held out.
+
+    ``window`` (lo, hi) keeps every positive in columns lo..hi-1.
+    """
+    lo, hi = window if window is not None else (0, m)
+    cells = np.argwhere(rng.random((n, hi - lo)) < density) + (0, lo)
     held = rng.random(len(cells)) < held_share
     return SparseBinaryMatrix(n, m, cells[~held]), HeldOutSet.of(cells[held])
 
@@ -328,9 +332,11 @@ def _split_instance(rng, n, m, density, held_share):
 class TestStructuredTrain:
     """``train`` on a HeldOutSet against the dense reference route."""
 
-    @pytest.mark.parametrize("mu", [0.0, 0.2])
-    def test_matches_dense_route(self, mu):
-        x_train, held = _split_instance(np.random.default_rng(21), 40, 30, 0.2, 0.3)
+    @pytest.mark.parametrize(
+        "mu, window", [(0.0, None), (0.2, None), (0.2, (6, 19))], ids=["0.0", "0.2", "0.2-window"]
+    )
+    def test_matches_dense_route(self, mu, window):
+        x_train, held = _split_instance(np.random.default_rng(21), 40, 30, 0.2, 0.3, window)
         # The structured fit reorders rows by onset, so a missing un-permute shows.
         onset = _onsets(x_train)
         assert np.any(onset[1:] < onset[:-1])
@@ -398,6 +404,21 @@ class TestStructuredTrain:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * (n * m + 8 * n * d)
+
+
+    def test_peak_memory_of_an_occupied_column_window(self):
+        # The positives fill columns 30..39 of 400, so X spans w = 10 columns;
+        # a full-width X alone would weigh 8 N M, five times the bound.
+        n, m, d, w = 4000, 400, 5, 10
+        x_train, held = _split_instance(np.random.default_rng(25), n, m, 0.3, 0.3, (30, 30 + w))
+        cfg = TrainConfig(d=d, mu=0.2, max_iters=3, rel_tol=1e-30)
+        tracemalloc.start()
+        try:
+            train(x_train, held, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (n * w + 8 * n * d)
 
 
 class TestPredict:

@@ -313,6 +313,11 @@ def _one(n, m, cells, held, mu):
 @example(_one(5, 5, [(0, 3), (1, 0), (2, 3), (3, 1), (4, 0)], [(2, 4)], 0.2))  # rows out of onset order
 @example(_one(4, 5, [(0, 2), (2, 2), (2, 4), (3, 0)], [(1, 3)], 0.2))  # empty row 1 between group 2's rows, held out
 @example(_one(4, 5, [(0, 2), (2, 2), (2, 4), (3, 0)], [(1, 3)], 0.0))
+@example(_one(3, 6, [(0, 0), (1, 2), (2, 1)], [(1, 0)], 0.2))  # columns 3-5 empty
+@example(_one(3, 6, [(0, 3), (1, 5), (2, 4)], [(0, 4)], 0.2))  # columns 0-2 empty
+@example(_one(3, 7, [(0, 2), (1, 3)], [(2, 5)], 0.2))  # a held-out cell alone sets the last column
+@example(_one(3, 7, [(0, 2), (1, 3)], [(2, 5)], 0.0))
+@example(_one(3, 7, [(0, 1), (1, 2), (2, 3)], [(0, 4), (2, 4)], 0.2))  # column 4's positives all held out
 def test_structured_loss_matches_dense_reference(case):
     # rtol 1e-12 on each value; gradient entries near zero after cancellation
     # are held to the same 1e-12 relative to the gradient's largest entry.
