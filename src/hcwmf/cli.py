@@ -11,7 +11,6 @@ import sys
 from pathlib import Path
 
 from .dataio import (
-    AdoptionRecords,
     SynthConfig,
     bin_records,
     cumulative_counts,
@@ -180,8 +179,7 @@ def _cmd_ingest(args) -> int:
     save_matrix_csv(matrix, args.out)
     print(f"wrote {matrix.rows}x{matrix.cols} matrix ({matrix.nnz} positives) to {args.out}")
     if args.cumulative_out is not None:
-        tagged = AdoptionRecords._checked(tuple(ev for ev in records if ev[1] == args.hashtag))
-        save_cumulative_csv(cumulative_counts(tagged, args.bin_seconds), args.cumulative_out)
+        save_cumulative_csv(cumulative_counts(records, args.hashtag, args.bin_seconds), args.cumulative_out)
         print(f"wrote cumulative counts to {args.cumulative_out}")
     return 0
 

@@ -122,7 +122,7 @@ class SynthConfig:
             raise ValueError(f"trend_decay must be in (0, 1], got {self.trend_decay}")
         if not 0.0 <= self.repeat_prob <= 1.0:
             raise ValueError(f"repeat_prob must be in [0, 1], got {self.repeat_prob}")
-        if self.repeat_decay < 0:
+        if not self.repeat_decay >= 0:
             raise ValueError(f"repeat_decay must be >= 0, got {self.repeat_decay}")
 
 
@@ -193,17 +193,9 @@ def write_records(records: AdoptionRecords, path) -> None:
             fh.write(f'{{"user":{quoted[user]},"hashtag":{quoted[hashtag]},"ts":{int.__repr__(ts)}}}\n')
 
 
-def bin_records(
-    records: AdoptionRecords, hashtag: str, bin_seconds: int = 3600, m: int | None = None
-) -> SparseBinaryMatrix:
-    """Bin one hashtag's events into a binary user-by-time matrix.
-
-    The bin origin is the minimum timestamp of the whole corpus, so matrices
-    for different hashtags of the same corpus share a time axis.  Rows follow
-    sorted user ids.  When ``m`` is omitted it defaults to the largest
-    occupied bin plus 25% headroom; an explicit ``m`` must exceed the largest
-    occupied bin index.
-    """
+def _hashtag_bins(records: AdoptionRecords, hashtag: str, bin_seconds: int):
+    """(user count, each event's row, each event's bin) of one hashtag: the one binning
+    rule, which ``bin_records`` and ``cumulative_counts`` share."""
     if bin_seconds <= 0:
         raise ValueError(f"bin_seconds must be > 0, got {bin_seconds}")
     if len(records) == 0:
@@ -220,7 +212,21 @@ def bin_records(
     except OverflowError:
         big = next(t for _, t in tagged if t >= 2**63)
         raise ValueError(f"timestamp {big} is too large: timestamps must be below 2**63") from None
-    bins = (ts - min_ts) // bin_seconds
+    return len(users), rows, (ts - min_ts) // bin_seconds
+
+
+def bin_records(
+    records: AdoptionRecords, hashtag: str, bin_seconds: int = 3600, m: int | None = None
+) -> SparseBinaryMatrix:
+    """Bin one hashtag's events into a binary user-by-time matrix.
+
+    The bin origin is the minimum timestamp of the whole corpus, so matrices
+    for different hashtags of the same corpus share a time axis.  Rows follow
+    sorted user ids.  When ``m`` is omitted it defaults to the largest
+    occupied bin plus 25% headroom; an explicit ``m`` must exceed the largest
+    occupied bin index.
+    """
+    n, rows, bins = _hashtag_bins(records, hashtag, bin_seconds)
     max_bin = int(bins.max())
     if m is None:
         m = math.ceil(1.25 * (max_bin + 1))
@@ -228,7 +234,7 @@ def bin_records(
         raise ValueError(
             f"m={m} is too small: largest occupied bin is {max_bin}, need m >= {max_bin + 1}"
         )
-    return SparseBinaryMatrix(len(users), m, np.column_stack((rows, bins)))
+    return SparseBinaryMatrix(n, m, np.column_stack((rows, bins)))
 
 
 def _user_ids(n_users: int) -> list[str]:
@@ -296,32 +302,21 @@ def generate_corpus(
 
 
 def cumulative_counts(
-    records: AdoptionRecords, bin_seconds: int = 3600
+    records: AdoptionRecords, hashtag: str, bin_seconds: int = 3600
 ) -> list[tuple[int, int, int]]:
-    """Per-bin cumulative totals: (bin, events so far, distinct users so far)."""
-    if bin_seconds <= 0:
-        raise ValueError(f"bin_seconds must be > 0, got {bin_seconds}")
-    if len(records) == 0:
-        raise ValueError("cannot accumulate an empty record set")
-    min_ts = min(ts for _, _, ts in records)
-    events_in: dict[int, int] = {}
-    first_bin: dict[str, int] = {}
-    for user, _, ts in records:
-        b = (ts - min_ts) // bin_seconds
-        events_in[b] = events_in.get(b, 0) + 1
-        if user not in first_bin or b < first_bin[user]:
-            first_bin[user] = b
-    new_users_in: dict[int, int] = {}
-    for b in first_bin.values():
-        new_users_in[b] = new_users_in.get(b, 0) + 1
-    out = []
-    cum_events = 0
-    cum_users = 0
-    for b in range(max(events_in) + 1):
-        cum_events += events_in.get(b, 0)
-        cum_users += new_users_in.get(b, 0)
-        out.append((b, cum_events, cum_users))
-    return out
+    """Per-bin cumulative totals of one hashtag: (bin, events so far, distinct users so far).
+
+    Bins are those of ``bin_records``: they count from the minimum timestamp
+    of the whole corpus, so row b describes column b of the hashtag's matrix,
+    and the rows run to its last occupied column.
+    """
+    n, rows, bins = _hashtag_bins(records, hashtag, bin_seconds)
+    width = int(bins.max()) + 1
+    first = np.full(n, width - 1)
+    np.minimum.at(first, rows, bins)
+    tweets = np.cumsum(np.bincount(bins, minlength=width))
+    users = np.cumsum(np.bincount(first, minlength=width))
+    return list(zip(range(width), tweets.tolist(), users.tolist()))
 
 
 _CSV_CHUNK = 1 << 16  # triplets per formatted write of save_matrix_csv

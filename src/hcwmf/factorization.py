@@ -65,14 +65,14 @@ class TrainConfig:
     def __post_init__(self):
         if self.d < 1:
             raise ValueError(f"d must be >= 1, got {self.d}")
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.rel_tol <= 0:
+        if not self.rel_tol > 0:
             raise ValueError(f"rel_tol must be > 0, got {self.rel_tol}")
         for name in ("gamma1", "gamma2", "mu"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 

@@ -189,13 +189,13 @@ def run_sweep(
 ) -> ResultsTable:
     """Evaluate every requested method over all (fraction, d) cells.
 
-    ``methods`` keeps its given order in the output; unknown names are
-    rejected up front.  The split for a given fraction is shared across d
-    values (it does not depend on d), so latent-dimension comparisons reuse
-    identical held-out cells; the markov and ar baselines do not depend on d
-    either, so each is fitted once per split.  ``clamp`` clips predictions
-    into [0, 1] before scoring; off by default since raw scores are what the
-    loss optimizes.
+    ``methods`` keeps its given order in the output; unknown names, a bad
+    fraction, a d below 1 and an ``ar_order`` below 1 are rejected up front.
+    The split for a given fraction is shared across d values (it does not
+    depend on d), so latent-dimension comparisons reuse identical held-out
+    cells; the markov and ar baselines do not depend on d either, so each is
+    fitted once per split.  ``clamp`` clips predictions into [0, 1] before
+    scoring; off by default since raw scores are what the loss optimizes.
     """
     cfg = base_cfg if base_cfg is not None else TrainConfig()
     method_list = list(dict.fromkeys(methods))
@@ -208,6 +208,12 @@ def run_sweep(
     dim_list = sorted({int(d) for d in dims})
     if not fraction_list or not dim_list:
         raise ValueError("fractions and dims must be non-empty")
+    if dim_list[0] < 1:
+        raise ValueError(f"d must be >= 1, got {dim_list[0]}")
+    if ar_order < 1:
+        raise ValueError(f"ar_order must be >= 1, got {ar_order}")
+    for fraction in fraction_list:
+        SplitSpec(fraction=fraction)  # rejects a bad fraction before any fit
     master = cfg.seed
 
     rows = []

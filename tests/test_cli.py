@@ -89,6 +89,26 @@ class TestIngest:
         assert lines[0] == "bin,tweets,users"
         assert len(lines) > 1
 
+    def test_cumulative_rows_are_the_matrix_columns(self, tmp_path, capsys):
+        # h0 starts one bin after the corpus does: both outputs count bins from the corpus's
+        # first event, so cumulative row b describes matrix column b.
+        records = tmp_path / "late.ndjson"
+        records.write_text(
+            '{"user":"a","hashtag":"h1","ts":0}\n'
+            '{"user":"a","hashtag":"h0","ts":3600}\n'
+            '{"user":"b","hashtag":"h0","ts":7200}\n'
+        )
+        matrix_path = tmp_path / "matrix.csv"
+        cumulative_path = tmp_path / "cumulative.csv"
+        code, _, _ = _run(
+            capsys, "ingest", "--in", str(records), "--hashtag", "h0", "--cols", "3",
+            "--out", str(matrix_path), "--cumulative-out", str(cumulative_path),
+        )
+        assert code == 0
+        x = load_matrix_csv(matrix_path)
+        assert list(zip(x.row.tolist(), x.col.tolist())) == [(0, 1), (1, 2)]
+        assert cumulative_path.read_text() == "bin,tweets,users\n0,0,0\n1,1,1\n2,2,2\n"
+
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_reports_skipped_lines(self, records_file, tmp_path, capsys):
         dirty = tmp_path / "dirty.ndjson"
@@ -275,6 +295,22 @@ class TestErrorHandling:
         )
         assert code == 2
         assert "rel_tol" in err
+
+    @pytest.mark.parametrize(
+        "flag, value, name",
+        [("--dims", "0", "d must"), ("--ar-order", "0", "ar_order"), ("--rel-tol", "nan", "rel_tol")],
+    )
+    def test_invalid_eval_value_exits_2(self, tmp_path, capsys, flag, value, name):
+        matrix_path = tmp_path / "m.csv"
+        matrix_path.write_text("N,2\nM,4\n0,0,1\n1,2,1\n")
+        out_path = tmp_path / "eval.csv"
+        code, _, err = _run(
+            capsys, "eval", "--matrix", str(matrix_path), "--methods", "hcwmf,ar",
+            "--fractions", "50", flag, value, "--out", str(out_path),
+        )
+        assert code == 2
+        assert name in err
+        assert not out_path.exists()
 
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_allocation_failure_reports_through_handler(self, command, tmp_path, capsys):

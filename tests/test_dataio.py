@@ -226,6 +226,7 @@ class TestSynthConfig:
             {"n_users": 5, "n_bins": 5, "repeat_prob": -0.1},
             {"n_users": 5, "n_bins": 5, "repeat_prob": 1.1},
             {"n_users": 5, "n_bins": 5, "repeat_decay": -1.0},
+            {"n_users": 5, "n_bins": 5, "repeat_decay": float("nan")},
         ],
     )
     def test_rejects_bad_parameters(self, kwargs):
@@ -297,23 +298,24 @@ class TestGenerateCorpus:
 
 class TestCumulativeCounts:
     def test_single_event(self):
-        assert cumulative_counts(AdoptionRecords.of([("a", "h0", 0)])) == [(0, 1, 1)]
+        assert cumulative_counts(AdoptionRecords.of([("a", "h0", 0)]), "h0") == [(0, 1, 1)]
 
     def test_user_curve_plateaus(self):
         records = AdoptionRecords.of([("a", "h0", 0), ("a", "h0", 5 * 3600)])
-        rows = cumulative_counts(records)
+        rows = cumulative_counts(records, "h0")
         assert rows == [(0, 1, 1), (1, 1, 1), (2, 1, 1), (3, 1, 1), (4, 1, 1), (5, 2, 1)]
 
     def test_conserves_totals(self):
         records = generate_corpus(SynthConfig(n_users=30, n_bins=20, seed=9), 3)
-        rows = cumulative_counts(records)
-        assert rows[-1][1] == len(records)
-        assert rows[-1][2] == len({u for u, _, _ in records})
-        assert [b for b, _, _ in rows] == list(range(len(rows)))
+        for tag in sorted({h for _, h, _ in records}):
+            rows = cumulative_counts(records, tag)
+            assert rows[-1][1] == sum(1 for _, h, _ in records if h == tag)
+            assert rows[-1][2] == len({u for u, h, _ in records if h == tag})
+            assert [b for b, _, _ in rows] == list(range(len(rows)))
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="empty"):
-            cumulative_counts(AdoptionRecords.of([]))
+            cumulative_counts(AdoptionRecords.of([]), "h0")
 
 
 class TestMatrixCsv:

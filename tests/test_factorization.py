@@ -97,6 +97,11 @@ class TestTrainConfig:
             {"gamma1": -0.1},
             {"gamma2": -0.1},
             {"mu": -0.1},
+            {"learning_rate": float("nan")},
+            {"rel_tol": float("nan")},
+            {"gamma1": float("nan")},
+            {"gamma2": float("nan")},
+            {"mu": float("nan")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

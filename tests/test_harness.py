@@ -314,6 +314,24 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="fraction"):
             run_sweep(x, ["random"], [0.0], [2])
 
+    @pytest.mark.parametrize(
+        "fractions, dims, ar_order, match",
+        [
+            ([30.0, 150.0], [2], 2, "fraction"),
+            ([30.0], [0, 2], 2, "d must be >= 1"),
+            ([30.0], [2], 0, "ar_order must be >= 1"),
+        ],
+    )
+    def test_bad_arguments_rejected_before_any_fit(self, monkeypatch, fractions, dims, ar_order, match):
+        def no_fit(*args, **kwargs):
+            pytest.fail("run_sweep fitted before rejecting its arguments")
+
+        monkeypatch.setattr("hcwmf.harness.train", no_fit)
+        monkeypatch.setattr("hcwmf.harness.fit_ar", no_fit)
+        x = SparseBinaryMatrix(4, 6, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        with pytest.raises(ValueError, match=match):
+            run_sweep(x, ["hcwmf", "ar"], fractions, dims, ar_order=ar_order)
+
 
 class TestMethodOrdering:
     def test_consistency_term_helps_on_trending_corpus(self):

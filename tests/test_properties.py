@@ -5,8 +5,9 @@ coordinate arrays.  Each storage property checks one consumer of those arrays
 against a plain-Python oracle over sets of (row, col) tuples.  The structured
 loss is checked against the dense reference kernels, ``fit_ar`` against its
 ``np.column_stack`` design, the record parser against per-line
-``json.loads``, the record writer against per-event ``json.dumps``, and the
-matrix reader against its line loop.
+``json.loads``, the record writer against per-event ``json.dumps``, the
+matrix reader against its line loop, and each hashtag's cumulative counts
+against its binned matrix.
 """
 
 import io
@@ -30,8 +31,10 @@ from hcwmf import (
     SparseBinaryMatrix,
     SplitSpec,
     TrainConfig,
+    bin_records,
     build_attenuation,
     build_masks,
+    cumulative_counts,
     fit_ar,
     fit_markov,
     grad_u,
@@ -537,3 +540,30 @@ def test_write_records_matches_per_event_json_dumps(events):
         path = Path(tmp) / "events.ndjson"
         write_records(AdoptionRecords(tuple(events)), path)
         assert path.read_bytes() == want.encode("utf-8")
+
+
+@settings(deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from("abcd"), st.sampled_from(["h0", "h1", "h2"]), st.integers(0, 40)),
+        min_size=1,
+        max_size=30,
+    ),
+    st.integers(1, 7),
+)
+@example([("a", "h1", 0), ("a", "h0", 3600), ("b", "h0", 7200)], 3600)
+def test_cumulative_counts_describe_the_matrix_columns(events, bin_seconds):
+    # Hashtags may start after the corpus does, and one user may repeat within a bin.
+    records = AdoptionRecords(tuple(events))
+    for tag in sorted({h for _, h, _ in events}):
+        x = bin_records(records, tag, bin_seconds)
+        rows = cumulative_counts(records, tag, bin_seconds)
+        assert [b for b, _, _ in rows] == list(range(int(x.col.max()) + 1))
+        assert rows[-1][2] == x.rows
+        first_col = {}
+        for r, c in zip(x.row.tolist(), x.col.tolist()):
+            first_col.setdefault(r, c)
+        users = [0] + [u for _, _, u in rows]
+        for b in range(len(rows)):
+            assert users[b + 1] - users[b] == sum(1 for c in first_col.values() if c == b)
+        assert rows[-1][1] == sum(1 for _, h, _ in events if h == tag)
