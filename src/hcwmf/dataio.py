@@ -1,10 +1,12 @@
 """Record ingestion, time binning, serialization, and synthetic corpora.
 
 Adoption events travel as newline-delimited JSON objects with fields
-"user", "hashtag", and integer "ts" (seconds).  Binning turns the events of
-one hashtag into a binary user-by-time matrix.  The synthetic generator
-produces seeded corpora whose shape mimics a trending hashtag: adoption
-onsets concentrated early, re-adoption probability decaying afterwards.
+"user", "hashtag", and integer "ts" (seconds).  In memory they are columns:
+the sorted distinct ids, int64 codes into them and the timestamps, in event
+order.  Binning turns the events of one hashtag into a binary user-by-time
+matrix.  The synthetic generator produces seeded corpora whose shape mimics a
+trending hashtag: adoption onsets concentrated early, re-adoption probability
+decaying afterwards.
 """
 
 import json
@@ -39,9 +41,13 @@ _raw_decode = json.JSONDecoder().raw_decode
 # exactly the captured groups (no escapes, no duplicate keys, an int below 2**63), and the
 # event is valid, so neither needs checking.
 _ID = rb'([\x20\x21\x23-\x5b\x5d-\x7e]+)'
-_canonical_record = re.compile(
-    rb'\{"user":"' + _ID + rb'","hashtag":"' + _ID + rb'","ts":(0|[1-9][0-9]{0,17})\}(?:\r?\n)?'
-).fullmatch
+_RECORD = rb'\{"user":"' + _ID + rb'","hashtag":"' + _ID + rb'","ts":(0|[1-9][0-9]{0,17})\}'
+_canonical_record = re.compile(_RECORD + rb"(?:\r?\n)?").fullmatch
+# A block of such lines; only the stream's last line may lack its newline.  The repeat is
+# possessive, like _canonical_matrix's.
+_canonical_block = re.compile(rb"(?:" + _RECORD + rb"\r?\n)*+(?:" + _RECORD + rb")?").fullmatch
+
+_BLOCK_BYTES = 1 << 18  # bytes of whole lines per block of parse_records
 
 
 # The exact bytes save_matrix_csv writes, with every count below 10**18 so that it fits int64.
@@ -64,36 +70,95 @@ def _event_problem(user, hashtag, ts) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
+def _codes(values: list) -> tuple[tuple, np.ndarray]:
+    """The sorted distinct values and each value's index among them."""
+    ids = sorted(set(values))
+    index = dict(zip(ids, range(len(ids))))
+    return tuple(ids), np.fromiter(map(index.__getitem__, values), dtype=np.int64, count=len(values))
+
+
+def _ts_column(ts: list) -> np.ndarray:
+    """Non-negative integers as int64, or as Python ints under dtype=object when one is 2**63 or more."""
+    try:
+        return np.array(ts, dtype=np.int64)
+    except OverflowError:
+        return np.array([int(t) for t in ts], dtype=object)
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class AdoptionRecords:
-    """Immutable sequence of (user_id, hashtag, timestamp-in-seconds) events."""
+    """Immutable sequence of (user_id, hashtag, timestamp-in-seconds) events, stored as columns.
 
-    events: tuple[tuple[str, str, int], ...]
+    ``users`` and ``hashtags`` are the sorted distinct ids that occur, ``user``
+    and ``hashtag`` are read-only int64 codes into them in event order, and
+    ``ts`` holds the timestamps: int64, or Python ints under ``dtype=object``
+    when one is 2**63 or more.  ``events`` is the same sequence as tuples.
+    """
 
-    def __post_init__(self):
-        for ev in self.events:
+    users: tuple[str, ...]
+    user: np.ndarray
+    hashtags: tuple[str, ...]
+    hashtag: np.ndarray
+    ts: np.ndarray
+
+    def __init__(self, events):
+        users, hashtags, ts = [], [], []
+        for ev in events:
             if len(ev) != 3:
                 raise ValueError(f"event must be (user, hashtag, ts), got {ev!r}")
             problem = _event_problem(*ev)
             if problem:
                 raise ValueError(problem)
+            users.append(ev[0])
+            hashtags.append(ev[1])
+            ts.append(ev[2])
+        self._set(*_codes(users), *_codes(hashtags), _ts_column(ts))
+
+    def _set(self, users, user, hashtags, hashtag, ts) -> None:
+        for array in (user, hashtag, ts):
+            array.flags.writeable = False
+        for name, value in zip(("users", "user", "hashtags", "hashtag", "ts"), (users, user, hashtags, hashtag, ts)):
+            object.__setattr__(self, name, value)
 
     @classmethod
-    def _checked(cls, events: tuple) -> "AdoptionRecords":
-        """Wrap events that are already known to be valid, without checking them again."""
+    def _checked(cls, users, user, hashtags, hashtag, ts) -> "AdoptionRecords":
+        """Wrap columns that are already known to be valid, without checking them again."""
         records = object.__new__(cls)
-        object.__setattr__(records, "events", events)
+        records._set(users, user, hashtags, hashtag, ts)
         return records
 
     @classmethod
     def of(cls, events) -> "AdoptionRecords":
         return cls(tuple((u, h, int(t)) for u, h, t in events))
 
+    @property
+    def events(self) -> tuple[tuple[str, str, int], ...]:
+        return tuple(self)
+
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self.ts)
 
     def __iter__(self):
-        return iter(self.events)
+        return zip(
+            map(self.users.__getitem__, self.user.tolist()),
+            map(self.hashtags.__getitem__, self.hashtag.tolist()),
+            self.ts.tolist(),
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, AdoptionRecords):
+            return NotImplemented
+        # Ids are sorted and each occurs, so equal events mean equal columns.
+        return (
+            self.users == other.users
+            and self.hashtags == other.hashtags
+            and np.array_equal(self.user, other.user)
+            and np.array_equal(self.hashtag, other.hashtag)
+            and np.array_equal(self.ts, other.ts)
+        )
+
+    def __hash__(self):
+        return hash(self.events)
 
 
 @dataclass(frozen=True)
@@ -126,39 +191,95 @@ class SynthConfig:
             raise ValueError(f"repeat_decay must be >= 0, got {self.repeat_decay}")
 
 
-def parse_records(stream) -> tuple[AdoptionRecords, int]:
-    """Read newline-delimited JSON events; returns (records, skipped count).
+def _digits(buf: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """The decimal numbers buf[start:stop], each at most 18 digits, as int64."""
+    value = np.zeros(start.size, dtype=np.int64)
+    length = stop - start
+    for k in range(int(length.max(initial=0))):
+        digit = buf[stop - 1 - k].astype(np.int64) - ord("0")
+        value += np.where(length > k, digit, 0) * 10**k
+    return value
 
-    Accepts a text or byte stream (anything iterable by line).  Lines that
-    are not valid JSON objects with string "user"/"hashtag" and non-negative
-    integer "ts" are skipped with a warning and counted, never silently
-    dropped.  Blank lines are ignored without counting.  Each line is read
-    exactly as ``json.loads`` reads it once stripped; a bytes line in the
-    compact form ``write_records`` emits is matched by one regex instead, and
-    its ids are decoded once per parse and shared between events.
+
+def _fixed_width(buf: np.ndarray, start: np.ndarray, stop: np.ndarray):
+    """The strings buf[start:stop] as one fixed-width bytes array, its width a multiple of
+    8, or None when that array would be larger than buf (one long id makes every row as
+    wide)."""
+    length = stop - start
+    width = -(-int(length.max(initial=1)) // 8) * 8
+    if start.size * width > buf.size:
+        return None
+    grid = np.zeros((start.size, width), dtype=np.uint8)
+    for k in range(int(length.max(initial=0))):
+        grid[:, k] = np.where(length > k, buf.take(start + k, mode="clip"), 0)
+    return grid.view(f"S{width}").ravel()
+
+
+def _unique_ids(fixed: np.ndarray):
+    """``np.unique(fixed, return_inverse=True)`` of fixed-width bytes.  Ids of 8 bytes
+    sort as big-endian integers: the same order, several times faster."""
+    if fixed.itemsize != 8:
+        return np.unique(fixed, return_inverse=True)
+    ids, codes = np.unique(fixed.view(">u8"), return_inverse=True)
+    return ids.view("S8"), codes
+
+
+def _canonical_columns(block: list):
+    """(user ids, user codes, hashtag ids, hashtag codes, ts) of ``readlines`` lines that all
+    have write_records' compact form, or None for any other block.
+
+    The ids are sorted distinct fixed-width bytes, and the codes (int32) index them.  Ids
+    hold no quote, so each line's ids lie between its 3rd and 4th and its 7th and 8th of
+    ten quotes, and its ts runs from two past the 10th to the '}' before the line's end.
     """
     try:
-        lines = iter(stream)
-    except TypeError:
-        raise ValueError(f"stream is not readable line by line: {stream!r}") from None
-    events = []
+        data = b"".join(block)
+    except TypeError:  # text lines
+        return None
+    if not _canonical_block(data):
+        return None
+    buf = np.frombuffer(data, dtype=np.uint8)
+    quotes = np.flatnonzero(buf == ord('"')).reshape(len(block), 10)
+    ends = np.flatnonzero(buf == ord("\n"))
+    if ends.size < len(block):  # the stream's last line, without a newline
+        ends = np.append(ends, buf.size)
+    ends -= 1 + (buf[ends - 1] == ord("\r"))
+    user = _fixed_width(buf, quotes[:, 2] + 1, quotes[:, 3])
+    hashtag = _fixed_width(buf, quotes[:, 6] + 1, quotes[:, 7])
+    if user is None or hashtag is None:
+        return None
+    users, user = _unique_ids(user)
+    hashtags, hashtag = _unique_ids(hashtag)
+    ts = _digits(buf, quotes[:, 9] + 2, ends)
+    return users, user.astype(np.int32), hashtags, hashtag.astype(np.int32), ts
+
+
+def _parse_lines(lines, lineno: int, ids: dict, users: list, hashtags: list, ts: list):
+    """The line loop: appends each valid event of ``lines`` to the three lists and returns
+    (skipped count, last line number).
+
+    Lines are numbered from ``lineno`` + 1.  A compact bytes line is matched by one regex,
+    and ``ids`` gives one str per distinct id across the parse; any other line goes
+    through the decoder.  Warnings name the caller of parse_records.
+    """
     skipped = 0
-    ids: dict[bytes, str] = {}
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(lines, start=lineno + 1):
         if isinstance(raw, bytes):
             canonical = _canonical_record(raw)
             if canonical:
-                user, hashtag, ts = canonical.groups()
+                user, hashtag, t = canonical.groups()
                 if user not in ids:
                     ids[user] = user.decode("ascii")
                 if hashtag not in ids:
                     ids[hashtag] = hashtag.decode("ascii")
-                events.append((ids[user], ids[hashtag], int(ts)))
+                users.append(ids[user])
+                hashtags.append(ids[hashtag])
+                ts.append(int(t))
                 continue
             try:
                 raw = raw.decode("utf-8")
             except UnicodeDecodeError:
-                warnings.warn(f"line {lineno}: not valid UTF-8, skipped", stacklevel=2)
+                warnings.warn(f"line {lineno}: not valid UTF-8, skipped", stacklevel=3)
                 skipped += 1
                 continue
         line = raw.strip()
@@ -169,15 +290,97 @@ def parse_records(stream) -> tuple[AdoptionRecords, int]:
         except ValueError:  # JSONDecodeError, or an integer beyond int's digit limit
             end = None
         if end != len(line):
-            warnings.warn(f"line {lineno}: not valid JSON, skipped", stacklevel=2)
+            warnings.warn(f"line {lineno}: not valid JSON, skipped", stacklevel=3)
             skipped += 1
             continue
         if not isinstance(obj, dict) or _event_problem(obj.get("user"), obj.get("hashtag"), obj.get("ts")):
-            warnings.warn(f"line {lineno}: malformed record, skipped", stacklevel=2)
+            warnings.warn(f"line {lineno}: malformed record, skipped", stacklevel=3)
             skipped += 1
             continue
-        events.append((obj["user"], obj["hashtag"], obj["ts"]))
-    return AdoptionRecords._checked(tuple(events)), skipped
+        users.append(obj["user"])
+        hashtags.append(obj["hashtag"])
+        ts.append(obj["ts"])
+    return skipped, lineno
+
+
+def _merged_codes(fixed: list, codes: list, ids: dict) -> tuple[tuple[str, ...], np.ndarray]:
+    """One id column of the blocks' sorted fixed-width ids and codes: the sorted distinct
+    ids, one str per id through ``ids``, and int64 codes into them."""
+    width = max(a.itemsize for a in fixed)
+    merged, inverse = _unique_ids(np.concatenate([a.astype(f"S{width}") for a in fixed]))
+    out = np.empty(sum(c.size for c in codes), dtype=np.int64)
+    a = k = 0
+    for block_ids, block_codes in zip(fixed, codes):
+        np.take(inverse[k : k + block_ids.size], block_codes, out=out[a : a + block_codes.size])
+        a += block_codes.size
+        k += block_ids.size
+    return tuple(ids.setdefault(s, s.decode("ascii")) for s in merged.tolist()), out
+
+
+def _decoded(fixed: np.ndarray, codes: np.ndarray, ids: dict) -> list[str]:
+    """The str of each code into the fixed-width ids, one str per id through ``ids``."""
+    names = [ids.setdefault(s, s.decode("ascii")) for s in fixed.tolist()]
+    return [names[c] for c in codes.tolist()]
+
+
+def _assembled(blocks: list, ids: dict) -> AdoptionRecords:
+    """Records of the blocks in order: each the 5 columns of _canonical_columns or the 3
+    event lists of the line loop."""
+    if blocks and all(len(b) == 5 for b in blocks):
+        users, user = _merged_codes([b[0] for b in blocks], [b[1] for b in blocks], ids)
+        hashtags, hashtag = _merged_codes([b[2] for b in blocks], [b[3] for b in blocks], ids)
+        ts = np.concatenate([b[4] for b in blocks])
+        return AdoptionRecords._checked(users, user, hashtags, hashtag, ts)
+    # Some block took the line loop: every event goes through the lists.
+    users, hashtags, ts = [], [], []
+    for b in blocks:
+        if len(b) == 5:
+            b = (_decoded(b[0], b[1], ids), _decoded(b[2], b[3], ids), b[4].tolist())
+        users += b[0]
+        hashtags += b[1]
+        ts += b[2]
+    return AdoptionRecords._checked(*_codes(users), *_codes(hashtags), _ts_column(ts))
+
+
+def parse_records(stream) -> tuple[AdoptionRecords, int]:
+    """Read newline-delimited JSON events; returns (records, skipped count).
+
+    Accepts a text or byte stream (anything iterable by line).  Lines that
+    are not valid JSON objects with string "user"/"hashtag" and non-negative
+    integer "ts" are skipped with a warning and counted, never silently
+    dropped.  Blank lines are ignored without counting.  Each line is read
+    exactly as ``json.loads`` reads it once stripped.
+
+    A stream with ``readlines`` is read in blocks of about _BLOCK_BYTES of
+    whole lines.  A bytes block whose every line has the compact form
+    ``write_records`` emits is checked by one regex and split into columns by
+    numpy.  Every other block, and any other iterable, goes through the line
+    loop.  Within one parse each distinct id is one shared str.
+    """
+    readlines = getattr(stream, "readlines", None)
+    if readlines is not None:
+        lines = iter(lambda: readlines(_BLOCK_BYTES), [])
+    else:
+        try:
+            lines = (iter(stream),)  # one pass of the line loop
+        except TypeError:
+            raise ValueError(f"stream is not readable line by line: {stream!r}") from None
+    blocks = []
+    ids: dict[bytes, str] = {}
+    skipped = lineno = 0
+    for block in lines:
+        columns = _canonical_columns(block) if readlines is not None else None
+        if columns is None:
+            columns = ([], [], [])
+            bad, lineno = _parse_lines(block, lineno, ids, *columns)
+            skipped += bad
+        else:
+            lineno += len(block)
+        blocks.append(columns)
+    return _assembled(blocks, ids), skipped
+
+
+_WRITE_CHUNK = 1 << 10  # events per write of write_records; small chunks keep its text off the peak
 
 
 def write_records(records: AdoptionRecords, path) -> None:
@@ -187,10 +390,17 @@ def write_records(records: AdoptionRecords, path) -> None:
     with compact separators.  Each distinct id is quoted once, by
     ``json.dumps``, and ``ts`` is written by ``int.__repr__``, as json does.
     """
-    quoted = {s: json.dumps(s) for s in {u for u, _, _ in records} | {h for _, h, _ in records}}
+    users = [json.dumps(s) for s in records.users]
+    hashtags = [json.dumps(s) for s in records.hashtags]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for user, hashtag, ts in records:
-            fh.write(f'{{"user":{quoted[user]},"hashtag":{quoted[hashtag]},"ts":{int.__repr__(ts)}}}\n')
+        for a in range(0, len(records), _WRITE_CHUNK):
+            b = a + _WRITE_CHUNK
+            lines = zip(
+                map(users.__getitem__, records.user[a:b].tolist()),
+                map(hashtags.__getitem__, records.hashtag[a:b].tolist()),
+                map(int.__repr__, records.ts[a:b].tolist()),
+            )
+            fh.write("".join([f'{{"user":{u},"hashtag":{h},"ts":{t}}}\n' for u, h, t in lines]))
 
 
 def _hashtag_bins(records: AdoptionRecords, hashtag: str, bin_seconds: int):
@@ -200,19 +410,17 @@ def _hashtag_bins(records: AdoptionRecords, hashtag: str, bin_seconds: int):
         raise ValueError(f"bin_seconds must be > 0, got {bin_seconds}")
     if len(records) == 0:
         raise ValueError("cannot bin an empty record set")
-    min_ts = min(ts for _, _, ts in records)
-    tagged = [(user, ts) for user, h, ts in records if h == hashtag]
-    if not tagged:
+    if hashtag not in records.hashtags:
         raise ValueError(f"no events for hashtag {hashtag!r}")
-    users = sorted({user for user, _ in tagged})
-    row_of = {u: i for i, u in enumerate(users)}
-    rows = np.fromiter((row_of[u] for u, _ in tagged), dtype=np.int64, count=len(tagged))
-    try:
-        ts = np.fromiter((t for _, t in tagged), dtype=np.int64, count=len(tagged))
-    except OverflowError:
-        big = next(t for _, t in tagged if t >= 2**63)
-        raise ValueError(f"timestamp {big} is too large: timestamps must be below 2**63") from None
-    return len(users), rows, (ts - min_ts) // bin_seconds
+    tagged = np.flatnonzero(records.hashtag == records.hashtags.index(hashtag))
+    users, rows = np.unique(records.user[tagged], return_inverse=True)
+    ts = records.ts[tagged]
+    if ts.dtype == object:
+        big = [t for t in ts.tolist() if t >= 2**63]
+        if big:
+            raise ValueError(f"timestamp {big[0]} is too large: timestamps must be below 2**63")
+        ts = ts.astype(np.int64)
+    return users.size, rows, (ts - records.ts.min()) // bin_seconds
 
 
 def bin_records(
@@ -237,20 +445,37 @@ def bin_records(
     return SparseBinaryMatrix(n, m, np.column_stack((rows, bins)))
 
 
-def _user_ids(n_users: int) -> list[str]:
+def _user_ids(n_users: int) -> tuple[str, ...]:
+    # Zero-padded, so sorted order is numeric order.
     width = len(str(n_users - 1))
-    return [f"u{i:0{width}d}" for i in range(n_users)]
+    return tuple(f"u{i:0{width}d}" for i in range(n_users))
 
 
-def _emit_user_events(rng, cfg: SynthConfig, scale: float) -> list[int]:
-    """Adopted bin indices for one user; ``scale`` multiplies repeat_prob."""
+def _emit_user_events(rng, cfg: SynthConfig, decay: np.ndarray, scale: float) -> list[int]:
+    """Adopted bin indices for one user; ``scale`` multiplies repeat_prob.
+
+    After the onset, bin k is adopted when its own uniform draw falls below
+    ``scale * repeat_prob * decay[k - onset - 1]``.  The draws come in one call,
+    which yields the same numbers as one call per bin.
+    """
     onset = min(int(rng.geometric(cfg.trend_decay)) - 1, cfg.n_bins - 1)
-    bins = [onset]
-    for k in range(onset + 1, cfg.n_bins):
-        p = scale * cfg.repeat_prob * math.exp(-cfg.repeat_decay * (k - onset - 1))
-        if rng.random() < p:
-            bins.append(k)
-    return bins
+    later = cfg.n_bins - onset - 1
+    adopted = np.flatnonzero(rng.random(later) < scale * cfg.repeat_prob * decay[:later])
+    return [onset, *(adopted + (onset + 1)).tolist()]
+
+
+def _decay(cfg: SynthConfig) -> np.ndarray:
+    """exp(-repeat_decay * j) for the bins j after an onset, each by ``math.exp``."""
+    return np.array([math.exp(-cfg.repeat_decay * j) for j in range(cfg.n_bins)])
+
+
+def _timestamps(bins: list[int], bin_seconds: int) -> np.ndarray:
+    """The ts column of events in the given bins: bin b at b * bin_seconds."""
+    if isinstance(bin_seconds, bool) or not isinstance(bin_seconds, int) or bin_seconds < 0:
+        raise ValueError(f"bin_seconds must be a non-negative integer, got {bin_seconds!r}")
+    if bins and max(bins) * bin_seconds >= 2**63:
+        return _ts_column([b * bin_seconds for b in bins])
+    return np.array(bins, dtype=np.int64) * bin_seconds
 
 
 def generate_synthetic(
@@ -258,12 +483,19 @@ def generate_synthetic(
 ) -> AdoptionRecords:
     """Seeded single-hashtag corpus: every user adopts once, then re-adopts
     with a per-bin probability that decays after onset."""
+    problem = _event_problem("u", hashtag, 0)
+    if problem:
+        raise ValueError(problem)
     rng = np.random.default_rng(cfg.seed)
-    events = []
-    for uid in _user_ids(cfg.n_users):
-        for b in _emit_user_events(rng, cfg, scale=1.0):
-            events.append((uid, hashtag, b * bin_seconds))
-    return AdoptionRecords(tuple(events))
+    decay = _decay(cfg)
+    bins, counts = [], []
+    for _ in range(cfg.n_users):
+        emitted = _emit_user_events(rng, cfg, decay, scale=1.0)
+        bins += emitted
+        counts.append(len(emitted))
+    user = np.repeat(np.arange(cfg.n_users), counts)
+    only = np.zeros(len(bins), dtype=np.int64)  # every event's hashtag is hashtags[0]
+    return AdoptionRecords._checked(_user_ids(cfg.n_users), user, (hashtag,), only, _timestamps(bins, bin_seconds))
 
 
 def generate_corpus(
@@ -286,19 +518,30 @@ def generate_corpus(
     if not 0.0 < participation <= 1.0:
         raise ValueError(f"participation must be in (0, 1], got {participation}")
     master = np.random.default_rng(cfg.seed)
-    propensity = master.uniform(0.5, 1.0, size=cfg.n_users)
-    uids = _user_ids(cfg.n_users)
-    tag_width = len(str(n_hashtags - 1))
-    events = []
+    propensity = master.uniform(0.5, 1.0, size=cfg.n_users).tolist()
+    decay = _decay(cfg)
+    bins, counts, owner, tag = [], [], [], []  # counts, owner and tag per participation
     for t in range(n_hashtags):
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1 + t]))
-        tag = f"h{t:0{tag_width}d}"
-        for i, uid in enumerate(uids):
+        for i in range(cfg.n_users):
             if rng.random() >= participation:
                 continue
-            for b in _emit_user_events(rng, cfg, scale=float(propensity[i])):
-                events.append((uid, tag, b * bin_seconds))
-    return AdoptionRecords(tuple(events))
+            emitted = _emit_user_events(rng, cfg, decay, scale=propensity[i])
+            bins += emitted
+            counts.append(len(emitted))
+            owner.append(i)
+            tag.append(t)
+    # Only the users and hashtags with an event are kept, as sorted ids.
+    users, hashtags = np.unique(owner), np.unique(tag)
+    uids = _user_ids(cfg.n_users)
+    tag_width = len(str(n_hashtags - 1))
+    return AdoptionRecords._checked(
+        tuple(uids[i] for i in users.tolist()),
+        np.repeat(np.searchsorted(users, owner), counts),
+        tuple(f"h{t:0{tag_width}d}" for t in hashtags.tolist()),
+        np.repeat(np.searchsorted(hashtags, tag), counts),
+        _timestamps(bins, bin_seconds),
+    )
 
 
 def cumulative_counts(

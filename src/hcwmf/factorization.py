@@ -65,15 +65,16 @@ class TrainConfig:
     def __post_init__(self):
         if self.d < 1:
             raise ValueError(f"d must be >= 1, got {self.d}")
-        if not self.learning_rate > 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not self.rel_tol > 0:
-            raise ValueError(f"rel_tol must be > 0, got {self.rel_tol}")
+        for name in ("learning_rate", "rel_tol"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
         for name in ("gamma1", "gamma2", "mu"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (value >= 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -181,7 +182,15 @@ def _after(a):
     return out
 
 
-_HELD_BLOCK = 2048  # held-out cells per block of p on H
+_HELD_BLOCK = 2048  # cells per block of _cell_products
+
+
+def _cell_products(u, v, rows, cols, out) -> None:
+    """out[c] = u[rows[c]] . v[cols[c]], in blocks of _HELD_BLOCK cells, so that no
+    |cells| x d gather exists: each block's pair is freed before the next is taken."""
+    for a in range(0, out.size, _HELD_BLOCK):
+        b = a + _HELD_BLOCK
+        np.einsum("ij,ij->i", u.take(rows[a:b], axis=0), v.take(cols[a:b], axis=0), out=out[a:b])
 
 
 class _StructuredLoss:
@@ -266,12 +275,8 @@ class _StructuredLoss:
         return u[self.rank]
 
     def _write_held(self, u, v) -> None:
-        ph, hr, hc = self.ph, self.hr, self.hc
-        for a in range(0, ph.size, _HELD_BLOCK):
-            b = a + _HELD_BLOCK
-            # One block's gathers at a time: each pair is freed before the next is taken.
-            np.einsum("ij,ij->i", u.take(hr[a:b], axis=0), v.take(hc[a:b], axis=0), out=ph[a:b])
-        self.x.put(self.held, ph)
+        _cell_products(u, v, self.hr, self.hc, out=self.ph)
+        self.x.put(self.held, self.ph)
 
     def moved_u(self, u, v) -> None:
         self._write_held(u, v)
@@ -424,9 +429,16 @@ def train(
     trace: list[float] = []
     converged = False
     for it in range(1, cfg.max_iters + 1):
-        u = np.maximum(0.0, u - lr * loss.grad_u(u, v))
+        # Each step is taken in place: u = max(0, u - lr * grad), with no other N x d temporary.
+        g = loss.grad_u(u, v)
+        g *= lr
+        u -= g
+        np.maximum(0.0, u, out=u)
         loss.moved_u(u, v)
-        v = np.maximum(0.0, v - lr * loss.grad_v(u, v))
+        g = loss.grad_v(u, v)
+        g *= lr
+        v -= g
+        np.maximum(0.0, v, out=v)
         loss.moved_v(u, v)
 
         cur = loss.objective(u, v)
@@ -442,7 +454,9 @@ def train(
             break
         prev = cur
 
-    factors = FactorPair(u=DenseMatrix(loss.rows_out(u)), v=DenseMatrix(v))
+    u = loss.rows_out(u)
+    del loss  # freed before DenseMatrix copies the factors
+    factors = FactorPair(u=DenseMatrix(u), v=DenseMatrix(v))
     return factors, TrainTrace(
         initial_objective=initial, objective_per_iter=tuple(trace), converged=converged
     )

@@ -18,7 +18,7 @@ import numpy as np
 
 from .baselines import fit_ar, fit_markov, predict_markov, random_predict
 from .baselines import predict_ar  # noqa: F401  uncalled; hook hcwmf.harness.predict_ar of perfbench/child.py
-from .factorization import TrainConfig, train
+from .factorization import TrainConfig, _cell_products, train
 from .factorization import predict  # noqa: F401  uncalled; hook hcwmf.harness.predict of perfbench/child.py
 from .linalg import SparseBinaryMatrix
 from .masks import HeldOutSet
@@ -168,12 +168,14 @@ def _ar_predictions(x_train: SparseBinaryMatrix, held: HeldOutSet, order: int) -
     """``predict_ar`` at each held-out cell under one ``fit_ar`` per held-out row, lags in its order."""
     rows, at = np.unique(held.row, return_inverse=True)
     lo, hi = np.searchsorted(x_train.row, (rows, rows + 1)).tolist()
-    series = (np.bincount(x_train.col[a:b], minlength=x_train.cols) for a, b in zip(lo, hi))
-    models = [fit_ar(s, p=order) for s in series]
-    preds = np.array([mdl.intercept for mdl in models])[at]
-    phi = np.array([mdl.coefficients for mdl in models])[at]
+    # Each fit's parameters are kept, not the model: one row of these per held-out row.
+    intercept, phi = np.empty(rows.size), np.empty((rows.size, order))
+    for r, (a, b) in enumerate(zip(lo, hi)):
+        model = fit_ar(np.bincount(x_train.col[a:b], minlength=x_train.cols), p=order)
+        intercept[r], phi[r] = model.intercept, model.coefficients
+    preds = intercept[at]
     for k in range(1, order + 1):
-        preds += phi[:, k - 1] * _lagged(x_train, held, k)
+        preds += phi[at, k - 1] * _lagged(x_train, held, k)
     return preds
 
 
@@ -233,8 +235,8 @@ def run_sweep(
                         run_cfg = replace(cfg, d=d, mu=mu, seed=train_seed)
                         factors, _ = train(x_train, held, run_cfg)
                         # U V^T on the held-out cells only, not the full N x M product.
-                        u, v = factors.u.data, factors.v.data
-                        preds = np.einsum("ij,ij->i", u[held.row], v[held.col])
+                        preds = np.empty(len(held))
+                        _cell_products(factors.u.data, factors.v.data, held.row, held.col, out=preds)
                     elif method in baseline:
                         preds = baseline[method]
                     elif method == "markov":

@@ -10,9 +10,7 @@ runtime.
 """
 
 import math
-from collections import Counter
 from dataclasses import dataclass
-from operator import itemgetter
 
 import numpy as np
 
@@ -74,33 +72,27 @@ class TTestResult:
 def build_consistency_vectors(records: AdoptionRecords, seed: int) -> ConsistencyVectors:
     """Per-user consistency counts with seeded random partner assignment.
 
-    Users are processed in sorted id order and each is paired with a random
-    other user, so the result is reproducible from the seed.  Requires at
+    Users come in sorted id order, and user i is paired with user j, drawn
+    uniformly from the others: one ``rng.integers(0, n - 1, size=n)`` draw,
+    where a value v >= i stands for j = v + 1, so the result is reproducible
+    from the seed.  Both counts come from the distinct (user, hashtag) pairs
+    with no loop over users: hc_u counts each user's pairs that occur at least
+    twice, and hc_r the pairs whose hashtag the partner also used.  Requires at
     least two users (no partner exists otherwise) and two hashtags.
     """
-    pair_counts = Counter(map(itemgetter(0, 1), records))
-    # Each user's distinct hashtags as a list: a list per user costs far less
-    # memory than a set, and the loop below builds one small set at a time.
-    tags: dict[str, list] = {}
-    for user, hashtag in pair_counts:
-        tags.setdefault(user, []).append(hashtag)
-    repeated = Counter(user for (user, _), n in pair_counts.items() if n >= 2)
-    users = sorted(tags)
-    if len(users) < 2:
-        raise ValueError(f"need at least 2 users to pair, got {len(users)}")
-    all_tags = {hashtag for _, hashtag in pair_counts}
-    if len(all_tags) < 2:
-        raise ValueError(f"need at least 2 hashtags, got {len(all_tags)}")
-    rng = np.random.default_rng(seed)
-    hc_u = []
-    hc_r = []
-    for i, u in enumerate(users):
-        hc_u.append(repeated[u])
-        j = int(rng.integers(0, len(users) - 1))
-        if j >= i:
-            j += 1
-        hc_r.append(len(set(tags[u]).intersection(tags[users[j]])))
-    return ConsistencyVectors(hc_u=tuple(hc_u), hc_r=tuple(hc_r))
+    n, t = len(records.users), len(records.hashtags)
+    if n < 2:
+        raise ValueError(f"need at least 2 users to pair, got {n}")
+    if t < 2:
+        raise ValueError(f"need at least 2 hashtags, got {t}")
+    pairs, uses = np.unique(records.user * t + records.hashtag, return_counts=True)
+    owner, hashtag = np.divmod(pairs, t)
+    partner = np.random.default_rng(seed).integers(0, n - 1, size=n)
+    partner += partner >= np.arange(n)
+    shared = np.isin(partner[owner] * t + hashtag, pairs)
+    hc_u = np.bincount(owner[uses >= 2], minlength=n)
+    hc_r = np.bincount(owner[shared], minlength=n)
+    return ConsistencyVectors(hc_u=tuple(hc_u.tolist()), hc_r=tuple(hc_r.tolist()))
 
 
 def welch_ttest_one_sided(a, b, alpha: float = 0.01) -> TTestResult:

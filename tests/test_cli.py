@@ -298,7 +298,14 @@ class TestErrorHandling:
 
     @pytest.mark.parametrize(
         "flag, value, name",
-        [("--dims", "0", "d must"), ("--ar-order", "0", "ar_order"), ("--rel-tol", "nan", "rel_tol")],
+        [
+            ("--dims", "0", "d must"),
+            ("--ar-order", "0", "ar_order"),
+            ("--rel-tol", "nan", "rel_tol"),
+            ("--rel-tol", "inf", "rel_tol"),
+            ("--lambda", "inf", "learning_rate"),
+            ("--mu", "inf", "mu"),
+        ],
     )
     def test_invalid_eval_value_exits_2(self, tmp_path, capsys, flag, value, name):
         matrix_path = tmp_path / "m.csv"

@@ -51,6 +51,27 @@ class TestAdoptionRecords:
         with pytest.raises(ValueError):
             AdoptionRecords((event,))
 
+    def test_columns(self):
+        recs = AdoptionRecords.of([("b", "Y", 7), ("a", "X", 0), ("b", "X", 2**63)])
+        assert (recs.users, recs.hashtags) == (("a", "b"), ("X", "Y"))
+        assert recs.user.tolist() == [1, 0, 1] and recs.hashtag.tolist() == [1, 0, 0]
+        assert recs.user.dtype == recs.hashtag.dtype == np.int64
+        assert recs.ts.dtype == object and recs.ts.tolist() == [7, 0, 2**63]
+        assert AdoptionRecords.of([("a", "X", 2**63 - 1)]).ts.dtype == np.int64
+        for column in (recs.user, recs.hashtag, recs.ts):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 1
+        with pytest.raises(AttributeError):
+            recs.users = ("c",)
+
+    def test_equality_is_event_equality(self):
+        events = [("b", "Y", 7), ("a", "X", 0)]
+        assert AdoptionRecords.of(events) == AdoptionRecords.of(events)
+        assert hash(AdoptionRecords.of(events)) == hash(AdoptionRecords.of(events))
+        assert AdoptionRecords.of(events) != AdoptionRecords.of(events[::-1])
+        assert AdoptionRecords.of(events) != AdoptionRecords.of([("b", "Y", 7), ("a", "X", 1)])
+        assert AdoptionRecords.of([]) == AdoptionRecords.of([]) and len(AdoptionRecords.of([])) == 0
+
 
 class TestParseRecords:
     def test_single_event(self):
@@ -137,6 +158,70 @@ class TestParseRecords:
         assert [str(w.message) for w in caught] == [
             f"line {k}: not valid JSON, skipped" for k in (1, 2, 3)
         ]
+
+
+def _canonical_file(path, n_users=5000):
+    """write_records of a seeded corpus; 5,000 users give about 5.9 MB."""
+    cfg = SynthConfig(n_users, 48, trend_decay=0.15, repeat_prob=0.7, repeat_decay=0.1, seed=3)
+    records = generate_corpus(cfg, 12)
+    write_records(records, path)
+    return records
+
+
+class TestParseRecordsInBlocks:
+    def test_written_records_parse_without_the_line_loop(self, tmp_path, monkeypatch):
+        def line_loop(*args):
+            raise AssertionError("a block took the line loop")
+
+        path = tmp_path / "events.ndjson"
+        records = _canonical_file(path, n_users=300)
+        monkeypatch.setattr(dataio, "_parse_lines", line_loop)
+        monkeypatch.setattr(dataio, "_BLOCK_BYTES", 1 << 12)  # many blocks
+        with open(path, "rb") as fh:
+            assert parse_records(fh) == (records, 0)
+        # CRLF line ends and a last line without one stay on the block route.
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n").rstrip(b"\r\n"))
+        with open(path, "rb") as fh:
+            assert parse_records(fh) == (records, 0)
+
+    def test_peak_memory_is_below_the_file_size(self, tmp_path):
+        # The line loop peaks at about 2.5x the file and keeps 2.3x: a tuple per event.
+        # The blocks keep int32 codes and int64 ts until the columns are joined.
+        path = tmp_path / "events.ndjson"
+        _canonical_file(path)
+        size = path.stat().st_size
+        assert size >= 5_000_000
+        tracemalloc.start()
+        try:
+            with open(path, "rb") as fh:
+                records, _ = parse_records(fh)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(records) > 100_000
+        assert peak <= 1.5 * size
+        assert kept <= 0.75 * size
+
+    def test_one_long_id_takes_the_line_loop(self, tmp_path, monkeypatch):
+        # A fixed-width id array as wide as this id, one row per line, would take
+        # about 2,000 x 200 kB = 400 MB; the line loop reads the block instead.
+        long_id = "x" * 200_000
+        events = [(long_id, "h", 1)] + [(f"u{i}", "h", i) for i in range(2_000)]
+        path = tmp_path / "events.ndjson"
+        write_records(AdoptionRecords.of(events), path)
+        calls = []
+        line_loop = dataio._parse_lines
+        monkeypatch.setattr(dataio, "_parse_lines", lambda *args: calls.append(1) or line_loop(*args))
+        tracemalloc.start()
+        try:
+            with open(path, "rb") as fh:
+                records, skipped = parse_records(fh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert records == AdoptionRecords.of(events) and skipped == 0
+        assert calls == [1]
+        assert peak < 10 * path.stat().st_size
 
 
 class TestWriteRecords:

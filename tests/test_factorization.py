@@ -102,6 +102,11 @@ class TestTrainConfig:
             {"gamma1": float("nan")},
             {"gamma2": float("nan")},
             {"mu": float("nan")},
+            {"learning_rate": float("inf")},
+            {"rel_tol": float("inf")},
+            {"gamma1": float("inf")},
+            {"gamma2": float("inf")},
+            {"mu": float("inf")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -220,6 +225,23 @@ def _reference_plain_wmf(x, w, cfg):
 
 
 class TestTrain:
+    @pytest.mark.parametrize("mu", [0.0, 0.2])
+    def test_peak_memory_is_a_few_factor_sizes(self, mu):
+        # With X two columns wide, U-sized arrays dominate.  A step taken in place holds
+        # U, X V and the gradient, about 3.25x U; a step built from temporaries held two
+        # more N x d arrays at once and peaked near 4.4x U.
+        n, d = 40_000, 16
+        cols = np.random.default_rng(0).integers(0, 2, n)
+        x = SparseBinaryMatrix(n, 12, np.column_stack((np.arange(n), cols)))
+        cfg = TrainConfig(d=d, mu=mu, max_iters=2, rel_tol=1e-30)
+        tracemalloc.start()
+        try:
+            train(x, HeldOutSet.of(()), cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.6 * (8 * n * d)
+
     def test_rank_one_fit_reaches_target(self):
         cfg = TrainConfig(
             d=1, gamma1=0.0, gamma2=0.0, mu=0.0,

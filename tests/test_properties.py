@@ -5,9 +5,10 @@ coordinate arrays.  Each storage property checks one consumer of those arrays
 against a plain-Python oracle over sets of (row, col) tuples.  The structured
 loss is checked against the dense reference kernels, ``fit_ar`` against its
 ``np.column_stack`` design, the record parser against per-line
-``json.loads``, the record writer against per-event ``json.dumps``, the
-matrix reader against its line loop, and each hashtag's cumulative counts
-against its binned matrix.
+``json.loads`` (also when its blocks mix compact and other lines), the
+record writer against per-event ``json.dumps``, the synthetic generators
+against one scalar draw per bin, the matrix reader against its line loop,
+and each hashtag's cumulative counts against its binned matrix.
 """
 
 import io
@@ -17,6 +18,7 @@ import re
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from hcwmf import (
     HeldOutSet,
     SparseBinaryMatrix,
     SplitSpec,
+    SynthConfig,
     TrainConfig,
     bin_records,
     build_attenuation,
@@ -37,6 +40,8 @@ from hcwmf import (
     cumulative_counts,
     fit_ar,
     fit_markov,
+    generate_corpus,
+    generate_synthetic,
     grad_u,
     grad_v,
     load_matrix_csv,
@@ -48,6 +53,7 @@ from hcwmf import (
     split_mask,
     write_records,
 )
+from hcwmf import dataio
 from hcwmf.dataio import _load_matrix_lines
 from hcwmf.harness import _ar_predictions, _markov_predictions
 
@@ -504,6 +510,47 @@ def test_parse_records_matches_per_line_json_loads(lines, as_text):
     assert all(w.filename == __file__ for w in caught)
 
 
+# Ids in the compact form: printable ASCII but '"' and '\\', with the separators json uses.
+_COMPACT_ID = st.text(
+    st.sampled_from([chr(c) for c in range(0x20, 0x7F) if chr(c) not in '"\\']), min_size=1, max_size=6
+)
+
+
+@st.composite
+def compact_runs(draw):
+    """Consecutive lines in write_records' compact form, some ending in CR; now and then
+    an id far longer than the rest, which the block reader must not widen every row to."""
+    ids = _COMPACT_ID | st.just("L" * 300)
+    events = draw(
+        st.lists(st.tuples(ids, ids, st.integers(0, 10**18 - 1), st.booleans()), min_size=1, max_size=8)
+    )
+    return [
+        json.dumps({"user": u, "hashtag": h, "ts": t}, separators=(",", ":")).encode() + b"\r" * cr
+        for u, h, t, cr in events
+    ]
+
+
+@settings(deadline=None)
+@given(
+    st.lists(compact_runs() | record_lines().map(lambda line: [line]), max_size=8),
+    st.booleans(),
+    st.integers(1, 400),
+)
+@example([[_RECORD.encode()] * 3, [b"\xff"], [_RECORD.encode() + b"\r"]], False, 40)
+def test_parse_records_in_blocks_matches_per_line_json_loads(runs, final_newline, block_bytes):
+    # Small blocks, so that one stream mixes blocks of compact lines with blocks that
+    # take the line loop, a last line with no newline and bytes that are not UTF-8.
+    data = b"\n".join(line for run in runs for line in run) + b"\n" * final_newline
+    want = _parse_oracle(list(io.BytesIO(data)))
+    with warnings.catch_warnings(record=True) as caught, mock.patch.object(dataio, "_BLOCK_BYTES", block_bytes):
+        warnings.simplefilter("always")
+        records, skipped = parse_records(io.BytesIO(data))
+    assert (list(records.events), skipped, [str(w.message) for w in caught]) == want
+    assert all(w.filename == __file__ for w in caught)
+    assert records.users == tuple(sorted({u for u, _, _ in want[0]}))
+    assert records.hashtags == tuple(sorted({h for _, h, _ in want[0]}))
+
+
 class _Int(int):
     """An int whose repr, str and format all differ from ``int.__repr__``, which json writes."""
 
@@ -567,3 +614,48 @@ def test_cumulative_counts_describe_the_matrix_columns(events, bin_seconds):
         for b in range(len(rows)):
             assert users[b + 1] - users[b] == sum(1 for c in first_col.values() if c == b)
         assert rows[-1][1] == sum(1 for _, h, _ in events if h == tag)
+
+
+def _scalar_events(rng, cfg, scale):
+    """The generators' per-user bins as first written: one scalar draw per bin after the onset."""
+    onset = min(int(rng.geometric(cfg.trend_decay)) - 1, cfg.n_bins - 1)
+    bins = [onset]
+    for k in range(onset + 1, cfg.n_bins):
+        p = scale * cfg.repeat_prob * math.exp(-cfg.repeat_decay * (k - onset - 1))
+        if rng.random() < p:
+            bins.append(k)
+    return bins
+
+
+@st.composite
+def synth_configs(draw):
+    return SynthConfig(
+        n_users=draw(st.integers(1, 25)),
+        n_bins=draw(st.integers(2, 30)),
+        trend_decay=draw(st.floats(0.01, 1.0)),
+        repeat_prob=draw(st.floats(0.0, 1.0)),
+        repeat_decay=draw(st.floats(0.0, 2.0)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@settings(deadline=None, max_examples=50)
+@given(synth_configs(), st.integers(1, 4), st.floats(0.05, 1.0), st.integers(1, 7200))
+def test_generators_match_one_scalar_draw_per_bin(cfg, n_hashtags, participation, bin_seconds):
+    rng = np.random.default_rng(cfg.seed)
+    width = len(str(cfg.n_users - 1))
+    uids = [f"u{i:0{width}d}" for i in range(cfg.n_users)]
+    want = [(uid, "h0", b * bin_seconds) for uid in uids for b in _scalar_events(rng, cfg, 1.0)]
+    assert list(generate_synthetic(cfg, bin_seconds=bin_seconds)) == want
+
+    propensity = np.random.default_rng(cfg.seed).uniform(0.5, 1.0, size=cfg.n_users)
+    want = []
+    for t in range(n_hashtags):
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1 + t]))
+        tag = f"h{t:0{len(str(n_hashtags - 1))}d}"
+        for i, uid in enumerate(uids):
+            if rng.random() < participation:
+                want += [(uid, tag, b * bin_seconds) for b in _scalar_events(rng, cfg, float(propensity[i]))]
+    corpus = generate_corpus(cfg, n_hashtags, participation=participation, bin_seconds=bin_seconds)
+    assert list(corpus) == want
+    assert corpus == AdoptionRecords(tuple(want))

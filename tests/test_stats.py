@@ -136,6 +136,63 @@ def test_pair_counts_match_nested_counter_oracle(events, seed):
     assert all(type(n) is int for n in vec.hc_u + vec.hc_r)
 
 
+def _per_user_loop_vectors(records, seed):
+    """build_consistency_vectors as first written: Counter pair counts, each user's
+    hashtags as a list, and one scalar partner draw per user."""
+    pair_counts = Counter((user, hashtag) for user, hashtag, _ in records)
+    tags: dict[str, list] = {}
+    for user, hashtag in pair_counts:
+        tags.setdefault(user, []).append(hashtag)
+    repeated = Counter(user for (user, _), n in pair_counts.items() if n >= 2)
+    users = sorted(tags)
+    if len(users) < 2:
+        raise ValueError(f"need at least 2 users to pair, got {len(users)}")
+    all_tags = {hashtag for _, hashtag in pair_counts}
+    if len(all_tags) < 2:
+        raise ValueError(f"need at least 2 hashtags, got {len(all_tags)}")
+    rng = np.random.default_rng(seed)
+    hc_u, hc_r = [], []
+    for i, u in enumerate(users):
+        hc_u.append(repeated[u])
+        j = int(rng.integers(0, len(users) - 1))
+        if j >= i:
+            j += 1
+        hc_r.append(len(set(tags[u]).intersection(tags[users[j]])))
+    return tuple(hc_u), tuple(hc_r)
+
+
+@settings(deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 60).map("u{}".format), st.sampled_from(["h0", "h1", "h2", "h3"]), st.integers(0, 9)),
+        max_size=150,
+    ),
+    st.integers(0, 2**64 - 1),
+)
+# Two users, whose partners are fixed; users with a single hashtag; other seeds.
+@example([("a", "h0", 0), ("b", "h1", 1)], 0)
+@example([("a", "h0", 0), ("a", "h0", 1), ("b", "h1", 2), ("b", "h0", 3)], 2**64 - 1)
+@example([("u1", "h0", 0), ("u2", "h1", 0), ("u3", "h2", 0), ("u3", "h2", 1), ("u4", "h0", 0)], 12345)
+def test_vectors_match_the_per_user_loop(events, seed):
+    records = AdoptionRecords.of(events)
+    try:
+        want = _per_user_loop_vectors(records, seed)
+    except ValueError as err:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(err))}$"):
+            build_consistency_vectors(records, seed)
+        return
+    vec = build_consistency_vectors(records, seed)
+    assert (vec.hc_u, vec.hc_r) == want
+
+
+@pytest.mark.parametrize("n", [2, 3, 1000, 2**32, 2**32 + 2, 2**33])
+def test_one_partner_draw_is_the_scalar_draws(n):
+    # build_consistency_vectors draws every partner in one call; each user once drew its own.
+    rng = np.random.default_rng(7)
+    scalar = [int(rng.integers(0, n - 1)) for _ in range(64)]
+    assert np.random.default_rng(7).integers(0, n - 1, size=64).tolist() == scalar
+
+
 class TestWelchTTest:
     def test_unit_shift_example(self):
         # Means 3 and 2, both sample variances 2.5, so se = 1 and t = 1 with
