@@ -9,6 +9,7 @@ trending hashtag: adoption onsets concentrated early, re-adoption probability
 decaying afterwards.
 """
 
+import io
 import json
 import math
 import re
@@ -39,15 +40,16 @@ _raw_decode = json.JSONDecoder().raw_decode
 # The compact line write_records emits, with ids of printable ASCII other than '"' and '\\'
 # and a ts of at most 18 digits without a leading zero.  On such a line json.loads returns
 # exactly the captured groups (no escapes, no duplicate keys, an int below 2**63), and the
-# event is valid, so neither needs checking.
-_ID = rb'([\x20\x21\x23-\x5b\x5d-\x7e]+)'
-_RECORD = rb'\{"user":"' + _ID + rb'","hashtag":"' + _ID + rb'","ts":(0|[1-9][0-9]{0,17})\}'
+# event is valid, so neither needs checking.  The repeats are possessive: a '"' or '}' must
+# follow each id and ts, so giving back a character never helps a match.
+_ID = rb'([\x20\x21\x23-\x5b\x5d-\x7e]++)'
+_RECORD = rb'\{"user":"' + _ID + rb'","hashtag":"' + _ID + rb'","ts":(0|[1-9][0-9]{0,17}+)\}'
 _canonical_record = re.compile(_RECORD + rb"(?:\r?\n)?").fullmatch
 # A block of such lines; only the stream's last line may lack its newline.  The repeat is
 # possessive, like _canonical_matrix's.
 _canonical_block = re.compile(rb"(?:" + _RECORD + rb"\r?\n)*+(?:" + _RECORD + rb")?").fullmatch
 
-_BLOCK_BYTES = 1 << 18  # bytes of whole lines per block of parse_records
+_BLOCK_BYTES = 1 << 18  # bytes per read of parse_records
 
 
 # The exact bytes save_matrix_csv writes, with every count below 10**18 so that it fits int64.
@@ -224,25 +226,23 @@ def _unique_ids(fixed: np.ndarray):
     return ids.view("S8"), codes
 
 
-def _canonical_columns(block: list):
-    """(user ids, user codes, hashtag ids, hashtag codes, ts) of ``readlines`` lines that all
+def _canonical_columns(block: bytes):
+    """(user ids, user codes, hashtag ids, hashtag codes, ts) of a block of lines that all
     have write_records' compact form, or None for any other block.
 
     The ids are sorted distinct fixed-width bytes, and the codes (int32) index them.  Ids
     hold no quote, so each line's ids lie between its 3rd and 4th and its 7th and 8th of
-    ten quotes, and its ts runs from two past the 10th to the '}' before the line's end.
+    ten quotes.  Its ts runs from two past the 10th quote to the '}' before its newline,
+    which is two before the next line's 1st quote; the last line's newline is the block's
+    last byte, or one past it.
     """
-    try:
-        data = b"".join(block)
-    except TypeError:  # text lines
+    if not _canonical_block(block):
         return None
-    if not _canonical_block(data):
-        return None
-    buf = np.frombuffer(data, dtype=np.uint8)
-    quotes = np.flatnonzero(buf == ord('"')).reshape(len(block), 10)
-    ends = np.flatnonzero(buf == ord("\n"))
-    if ends.size < len(block):  # the stream's last line, without a newline
-        ends = np.append(ends, buf.size)
+    buf = np.frombuffer(block, dtype=np.uint8)
+    quotes = np.flatnonzero(buf == ord('"')).reshape(-1, 10)
+    ends = np.empty(len(quotes), dtype=np.int64)
+    ends[:-1] = quotes[1:, 0] - 2
+    ends[-1] = buf.size - (buf[-1] == ord("\n"))
     ends -= 1 + (buf[ends - 1] == ord("\r"))
     user = _fixed_width(buf, quotes[:, 2] + 1, quotes[:, 3])
     hashtag = _fixed_width(buf, quotes[:, 6] + 1, quotes[:, 7])
@@ -252,6 +252,24 @@ def _canonical_columns(block: list):
     hashtags, hashtag = _unique_ids(hashtag)
     ts = _digits(buf, quotes[:, 9] + 2, ends)
     return users, user.astype(np.int32), hashtags, hashtag.astype(np.int32), ts
+
+
+def _byte_blocks(stream):
+    """The bytes of a binary stream in blocks of whole lines, read _BLOCK_BYTES at a time;
+    only the last block may lack a final newline.  Each read is cut after its last newline
+    and the rest carried into the next block, which is one join of the carried bytes and
+    the next read up to its last newline."""
+    pieces = []  # the carried bytes; a line longer than a read joins its pieces once
+    while chunk := stream.read(_BLOCK_BYTES):
+        cut = chunk.rfind(b"\n") + 1
+        if not cut:
+            pieces.append(chunk)
+            continue
+        pieces.append(memoryview(chunk)[:cut])
+        yield b"".join(pieces)
+        pieces = [chunk[cut:]]
+    if tail := b"".join(pieces):
+        yield tail
 
 
 def _parse_lines(lines, lineno: int, ids: dict, users: list, hashtags: list, ts: list):
@@ -351,15 +369,17 @@ def parse_records(stream) -> tuple[AdoptionRecords, int]:
     dropped.  Blank lines are ignored without counting.  Each line is read
     exactly as ``json.loads`` reads it once stripped.
 
-    A stream with ``readlines`` is read in blocks of about _BLOCK_BYTES of
-    whole lines.  A bytes block whose every line has the compact form
-    ``write_records`` emits is checked by one regex and split into columns by
-    numpy.  Every other block, and any other iterable, goes through the line
-    loop.  Within one parse each distinct id is one shared str.
+    A binary stream (``io.BufferedIOBase``: a file opened ``"rb"``, ``BytesIO``,
+    a gzip or bz2 file) is read in raw blocks of about _BLOCK_BYTES of whole
+    lines.  A block whose every line has the compact form ``write_records``
+    emits is checked by one regex and split into columns by numpy; any other
+    block is split as ``readlines`` splits it and goes through the line loop.
+    Every other stream or iterable goes through the line loop line by line.
+    Within one parse each distinct id is one shared str.
     """
-    readlines = getattr(stream, "readlines", None)
-    if readlines is not None:
-        lines = iter(lambda: readlines(_BLOCK_BYTES), [])
+    binary = isinstance(stream, io.BufferedIOBase)
+    if binary:
+        lines = _byte_blocks(stream)
     else:
         try:
             lines = (iter(stream),)  # one pass of the line loop
@@ -369,13 +389,14 @@ def parse_records(stream) -> tuple[AdoptionRecords, int]:
     ids: dict[bytes, str] = {}
     skipped = lineno = 0
     for block in lines:
-        columns = _canonical_columns(block) if readlines is not None else None
+        columns = _canonical_columns(block) if binary else None
         if columns is None:
             columns = ([], [], [])
-            bad, lineno = _parse_lines(block, lineno, ids, *columns)
+            # A bytes block is split as readlines splits it: at "\n" only.
+            bad, lineno = _parse_lines(io.BytesIO(block) if binary else block, lineno, ids, *columns)
             skipped += bad
         else:
-            lineno += len(block)
+            lineno += len(columns[4])
         blocks.append(columns)
     return _assembled(blocks, ids), skipped
 

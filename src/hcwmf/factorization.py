@@ -281,14 +281,17 @@ class _StructuredLoss:
     def moved_u(self, u, v) -> None:
         self._write_held(u, v)
         m, d = v.shape
-        self.utu, self.xtu = u.T @ u, np.zeros((m, d))
+        self.xtu = np.zeros((m, d))
         self.xtu[self.lo : self.hi] = self.x.T @ u
         if self.cfg.mu == 0.0:
+            self.utu = u.T @ u
             return
         su, s = np.zeros((m, d)), np.zeros((m, d, d))
         for k, a, b in self.groups:
             su[k] = u[a:b].sum(axis=0)
             s[k] = u[a:b].T @ u[a:b]
+        # The groups' Gramians cover the rows with an onset, the first n_on.
+        self.utu = s.sum(axis=0) + u[self.n_on :].T @ u[self.n_on :]
         # Column j sums its own group and, weighted h_j^2, every earlier one.
         self.wu = su + self.h2[:, None] * _before(su)
         self.wuu = s + self.h2[:, None, None] * _before(s)

@@ -5,10 +5,11 @@ coordinate arrays.  Each storage property checks one consumer of those arrays
 against a plain-Python oracle over sets of (row, col) tuples.  The structured
 loss is checked against the dense reference kernels, ``fit_ar`` against its
 ``np.column_stack`` design, the record parser against per-line
-``json.loads`` (also when its blocks mix compact and other lines), the
-record writer against per-event ``json.dumps``, the synthetic generators
-against one scalar draw per bin, the matrix reader against its line loop,
-and each hashtag's cumulative counts against its binned matrix.
+``json.loads`` (on each kind of stream, and when its blocks mix compact
+and other lines or a line spans several reads), the record writer against
+per-event ``json.dumps``, the synthetic generators against one scalar draw
+per bin, the matrix reader against its line loop, and each hashtag's
+cumulative counts against its binned matrix.
 """
 
 import io
@@ -457,6 +458,8 @@ _ODD_LINES = [
     '{"user":"a","hashtag":"h","ts":' + "9" * 4301 + "}",
     '{"hashtag":"h","user":"a","ts":1}',
     '{"user":"a","hashtag":"h","ts":1,"x":0}',
+    # One record: a bare CR is JSON whitespace, and only "\n" ends a line.
+    '{"user":"a",\r"hashtag":"h","ts":1}',
 ]
 
 
@@ -491,21 +494,30 @@ def record_lines(draw):
     return line
 
 
+_ODD_BYTES = [line.encode("utf-8") for line in _ODD_LINES]
+_STREAM_KINDS = ["bytes", "file", "list", "text"]
+
+
 @settings(deadline=None)
-@given(st.lists(record_lines(), max_size=12), st.booleans())
-@example([line.encode("utf-8") for line in _ODD_LINES], False)
-@example([line.encode("utf-8") for line in _ODD_LINES], True)
-def test_parse_records_matches_per_line_json_loads(lines, as_text):
+@given(st.lists(record_lines(), max_size=12), st.sampled_from(_STREAM_KINDS))
+@example(_ODD_BYTES, "bytes")
+@example(_ODD_BYTES, "file")
+@example(_ODD_BYTES, "list")
+@example(_ODD_BYTES, "text")
+def test_parse_records_matches_per_line_json_loads(lines, kind):
+    # A buffered byte stream takes the block reader; an unbuffered file, a list of
+    # byte lines and a text stream take the line loop.
     data = b"".join(line + b"\n" for line in lines)
-    if as_text:
-        stream = io.StringIO(data.decode("utf-8", "replace"), newline="\n")
-    else:
-        stream = io.BytesIO(data)
-    want = _parse_oracle(list(stream))
-    stream.seek(0)
-    with warnings.catch_warnings(record=True) as caught:
+    text = io.StringIO(data.decode("utf-8", "replace"), newline="\n")
+    want = _parse_oracle(list(text if kind == "text" else io.BytesIO(data)))
+    text.seek(0)
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        records, skipped = parse_records(stream)
+        path = Path(tmp) / "events.ndjson"
+        path.write_bytes(data)
+        with io.FileIO(path) as file:
+            streams = {"bytes": io.BytesIO(data), "file": file, "list": list(io.BytesIO(data)), "text": text}
+            records, skipped = parse_records(streams[kind])
     assert (list(records.events), skipped, [str(w.message) for w in caught]) == want
     assert all(w.filename == __file__ for w in caught)
 
@@ -549,6 +561,37 @@ def test_parse_records_in_blocks_matches_per_line_json_loads(runs, final_newline
     assert all(w.filename == __file__ for w in caught)
     assert records.users == tuple(sorted({u for u, _, _ in want[0]}))
     assert records.hashtags == tuple(sorted({h for _, h, _ in want[0]}))
+
+
+_LONG_RECORD = b'{"user":"' + b"L" * 300 + b'","hashtag":"h","ts":5}'
+_INVALID = b'{"user":"b","hashtag":"h","ts":2'  # no closing brace
+
+
+@pytest.mark.parametrize(
+    "data, line_loop_blocks",
+    [
+        # One valid line that spans many reads, between two short ones.
+        (_RECORD.encode() + b"\n" + _LONG_RECORD + b"\n" + _RECORD.encode(), 0),
+        # No newline at all, in a valid line and in an invalid one.
+        (_LONG_RECORD, 0),
+        (_INVALID * 4, 1),
+        # An invalid line, bytes 34..65, across the boundary of the 2nd and 3rd reads.
+        (b"\n".join([_RECORD.encode(), _INVALID, _RECORD.encode(), _RECORD.encode()]) + b"\n", 1),
+    ],
+)
+def test_block_reader_matches_per_line_json_loads(data, line_loop_blocks):
+    calls = []
+    line_loop = dataio._parse_lines
+    want = _parse_oracle(list(io.BytesIO(data)))
+    with (
+        warnings.catch_warnings(record=True) as caught,
+        mock.patch.object(dataio, "_BLOCK_BYTES", 32),
+        mock.patch.object(dataio, "_parse_lines", lambda *args: calls.append(1) or line_loop(*args)),
+    ):
+        warnings.simplefilter("always")
+        records, skipped = parse_records(io.BytesIO(data))
+    assert (list(records.events), skipped, [str(w.message) for w in caught]) == want
+    assert len(calls) == line_loop_blocks
 
 
 class _Int(int):
