@@ -258,7 +258,8 @@ def _byte_blocks(stream):
     """The bytes of a binary stream in blocks of whole lines, read _BLOCK_BYTES at a time;
     only the last block may lack a final newline.  Each read is cut after its last newline
     and the rest carried into the next block, which is one join of the carried bytes and
-    the next read up to its last newline."""
+    the next read up to its last newline.  A short read is carried like any other; a read
+    that returns None (a non-blocking stream with no data ready) raises ValueError."""
     pieces = []  # the carried bytes; a line longer than a read joins its pieces once
     while chunk := stream.read(_BLOCK_BYTES):
         cut = chunk.rfind(b"\n") + 1
@@ -268,6 +269,8 @@ def _byte_blocks(stream):
         pieces.append(memoryview(chunk)[:cut])
         yield b"".join(pieces)
         pieces = [chunk[cut:]]
+    if chunk is None:
+        raise ValueError(f"no data ready on a non-blocking stream: {stream!r}")
     if tail := b"".join(pieces):
         yield tail
 
@@ -369,15 +372,17 @@ def parse_records(stream) -> tuple[AdoptionRecords, int]:
     dropped.  Blank lines are ignored without counting.  Each line is read
     exactly as ``json.loads`` reads it once stripped.
 
-    A binary stream (``io.BufferedIOBase``: a file opened ``"rb"``, ``BytesIO``,
-    a gzip or bz2 file) is read in raw blocks of about _BLOCK_BYTES of whole
-    lines.  A block whose every line has the compact form ``write_records``
+    A binary stream (``io.BufferedIOBase`` or ``io.RawIOBase``: a file opened
+    ``"rb"``, ``BytesIO``, a gzip or bz2 file, an unbuffered ``io.FileIO``) is
+    read in raw blocks of about _BLOCK_BYTES of whole lines; a read that
+    returns None, as a non-blocking stream with no data ready does, raises
+    ValueError.  A block whose every line has the compact form ``write_records``
     emits is checked by one regex and split into columns by numpy; any other
     block is split as ``readlines`` splits it and goes through the line loop.
     Every other stream or iterable goes through the line loop line by line.
     Within one parse each distinct id is one shared str.
     """
-    binary = isinstance(stream, io.BufferedIOBase)
+    binary = isinstance(stream, (io.BufferedIOBase, io.RawIOBase))
     if binary:
         lines = _byte_blocks(stream)
     else:
@@ -472,17 +477,7 @@ def _user_ids(n_users: int) -> tuple[str, ...]:
     return tuple(f"u{i:0{width}d}" for i in range(n_users))
 
 
-def _emit_user_events(rng, cfg: SynthConfig, decay: np.ndarray, scale: float) -> list[int]:
-    """Adopted bin indices for one user; ``scale`` multiplies repeat_prob.
-
-    After the onset, bin k is adopted when its own uniform draw falls below
-    ``scale * repeat_prob * decay[k - onset - 1]``.  The draws come in one call,
-    which yields the same numbers as one call per bin.
-    """
-    onset = min(int(rng.geometric(cfg.trend_decay)) - 1, cfg.n_bins - 1)
-    later = cfg.n_bins - onset - 1
-    adopted = np.flatnonzero(rng.random(later) < scale * cfg.repeat_prob * decay[:later])
-    return [onset, *(adopted + (onset + 1)).tolist()]
+_DRAW_SLOTS = 1 << 13  # bins per scoring pass of the generators: 64 KiB buffers, below malloc's mmap threshold
 
 
 def _decay(cfg: SynthConfig) -> np.ndarray:
@@ -490,13 +485,76 @@ def _decay(cfg: SynthConfig) -> np.ndarray:
     return np.array([math.exp(-cfg.repeat_decay * j) for j in range(cfg.n_bins)])
 
 
-def _timestamps(bins: list[int], bin_seconds: int) -> np.ndarray:
-    """The ts column of events in the given bins: bin b at b * bin_seconds."""
+def _adoptions(rng, cfg: SynthConfig, scales: np.ndarray, participation: float | None = None):
+    """The events of one RNG stream's participations, one chunk of them at a time.
+
+    Yields (owner, count, bins) per chunk: each participation's user index and event
+    count, and the bins of its events, the onset first.  User i participates when
+    ``participation`` is None or its own draw falls below it.  The loop over users makes
+    only the RNG calls, in stream order: that draw, the geometric onset, and one call for
+    the draws of the bins after the onset, written into a chunk buffer.  A participation
+    takes n_bins - onset slots there: one for its onset, then one per later bin.  One
+    numpy pass per chunk scores the draws: bin onset + 1 + j is adopted when its draw
+    falls below ``(scales[i] * repeat_prob) * decay[j]``, the same float product as a
+    comparison of one scalar draw per bin.  The onsets are drawn one call at a time:
+    for a success rate below 1/3 numpy's geometric takes a varying number of doubles.
+    """
+    n_bins = cfg.n_bins
+    decay = _decay(cfg)
+    draws = np.empty(max(_DRAW_SLOTS, n_bins))
+    starts = np.empty(draws.size, dtype=np.int64)
+    owner = np.empty(draws.size, dtype=np.int64)
+
+    def scored(k: int, end: int):
+        begin = starts[:k]
+        lengths = np.diff(begin, append=end)  # n_bins - onset
+        slot = np.arange(end) - np.repeat(begin, lengths)  # 0 at the onset, j + 1 at later bin j
+        threshold = np.repeat(scales[owner[:k]] * cfg.repeat_prob, lengths)
+        threshold *= decay[slot - 1]  # the onset's slot reads decay[-1] and is overwritten below
+        kept = draws[:end] < threshold
+        kept[begin] = True
+        slot += np.repeat(n_bins - lengths, lengths)  # each slot's bin
+        return owner[:k].copy(), np.add.reduceat(kept, begin), slot[kept]
+
+    random, geometric = rng.random, rng.geometric
+    k = end = 0
+    for i in range(cfg.n_users):
+        if participation is not None and random() >= participation:
+            continue
+        slots = n_bins + 1 - int(geometric(cfg.trend_decay))  # n_bins - onset
+        if slots < 1:  # the onset is capped at the last bin
+            slots = 1
+        if end + slots > draws.size:
+            yield scored(k, end)
+            k = end = 0
+        starts[k] = end
+        owner[k] = i
+        k += 1
+        end += slots
+        random(out=draws[end - slots + 1 : end])
+    if k:
+        yield scored(k, end)
+
+
+def _check_bin_seconds(bin_seconds) -> None:
     if isinstance(bin_seconds, bool) or not isinstance(bin_seconds, int) or bin_seconds < 0:
         raise ValueError(f"bin_seconds must be a non-negative integer, got {bin_seconds!r}")
-    if bins and max(bins) * bin_seconds >= 2**63:
-        return _ts_column([b * bin_seconds for b in bins])
-    return np.array(bins, dtype=np.int64) * bin_seconds
+
+
+def _timestamps(bins: np.ndarray, bin_seconds: int) -> np.ndarray:
+    """The ts column of events in the given int64 bins: bin b at b * bin_seconds.  The
+    bins array becomes the column unless a timestamp reaches 2**63."""
+    if bin_seconds >= 2**63 or int(bins.max(initial=0)) * bin_seconds >= 2**63:
+        return _ts_column([b * bin_seconds for b in bins.tolist()])
+    bins *= bin_seconds
+    return bins
+
+
+def _joined(chunks: list) -> np.ndarray:
+    """The int64 chunks as one array; the list is emptied, so that each chunk is freed."""
+    out = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
+    chunks.clear()
+    return out
 
 
 def generate_synthetic(
@@ -507,16 +565,15 @@ def generate_synthetic(
     problem = _event_problem("u", hashtag, 0)
     if problem:
         raise ValueError(problem)
-    rng = np.random.default_rng(cfg.seed)
-    decay = _decay(cfg)
-    bins, counts = [], []
-    for _ in range(cfg.n_users):
-        emitted = _emit_user_events(rng, cfg, decay, scale=1.0)
-        bins += emitted
-        counts.append(len(emitted))
-    user = np.repeat(np.arange(cfg.n_users), counts)
-    only = np.zeros(len(bins), dtype=np.int64)  # every event's hashtag is hashtags[0]
-    return AdoptionRecords._checked(_user_ids(cfg.n_users), user, (hashtag,), only, _timestamps(bins, bin_seconds))
+    _check_bin_seconds(bin_seconds)
+    counts, bins = [], []  # per chunk
+    for _, chunk_counts, chunk_bins in _adoptions(np.random.default_rng(cfg.seed), cfg, np.ones(cfg.n_users)):
+        counts.append(chunk_counts)
+        bins.append(chunk_bins)
+    ts = _timestamps(_joined(bins), bin_seconds)
+    user = np.repeat(np.arange(cfg.n_users), _joined(counts))
+    only = np.zeros(ts.size, dtype=np.int64)  # every event's hashtag is hashtags[0]
+    return AdoptionRecords._checked(_user_ids(cfg.n_users), user, (hashtag,), only, ts)
 
 
 def generate_corpus(
@@ -533,35 +590,41 @@ def generate_corpus(
     do, their events follow the single-hashtag scheme with repeat_prob scaled
     by their propensity.  Hashtag streams use seeds derived from cfg.seed, so
     the corpus is reproducible from one integer.
+
+    Each hashtag's stream is drawn in user order: a participation draw per
+    user and, for each participating user, a geometric onset and one call for
+    the draws of the later bins.  The draws are then scored against their
+    thresholds and turned into events by one numpy pass per chunk of
+    participations.
     """
     if n_hashtags < 1:
         raise ValueError(f"n_hashtags must be >= 1, got {n_hashtags}")
     if not 0.0 < participation <= 1.0:
         raise ValueError(f"participation must be in (0, 1], got {participation}")
+    _check_bin_seconds(bin_seconds)
     master = np.random.default_rng(cfg.seed)
-    propensity = master.uniform(0.5, 1.0, size=cfg.n_users).tolist()
-    decay = _decay(cfg)
-    bins, counts, owner, tag = [], [], [], []  # counts, owner and tag per participation
+    propensity = master.uniform(0.5, 1.0, size=cfg.n_users)
+    owner, counts, bins, tags, sizes = [], [], [], [], []  # per chunk
     for t in range(n_hashtags):
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1 + t]))
-        for i in range(cfg.n_users):
-            if rng.random() >= participation:
-                continue
-            emitted = _emit_user_events(rng, cfg, decay, scale=propensity[i])
-            bins += emitted
-            counts.append(len(emitted))
-            owner.append(i)
-            tag.append(t)
+        for chunk_owner, chunk_counts, chunk_bins in _adoptions(rng, cfg, propensity, participation):
+            owner.append(chunk_owner)
+            counts.append(chunk_counts)
+            bins.append(chunk_bins)
+            tags.append(t)
+            sizes.append(chunk_bins.size)
+    ts = _timestamps(_joined(bins), bin_seconds)
     # Only the users and hashtags with an event are kept, as sorted ids.
-    users, hashtags = np.unique(owner), np.unique(tag)
+    owner = _joined(owner)
+    users, hashtags = np.unique(owner), sorted(set(tags))
     uids = _user_ids(cfg.n_users)
     tag_width = len(str(n_hashtags - 1))
     return AdoptionRecords._checked(
         tuple(uids[i] for i in users.tolist()),
-        np.repeat(np.searchsorted(users, owner), counts),
-        tuple(f"h{t:0{tag_width}d}" for t in hashtags.tolist()),
-        np.repeat(np.searchsorted(hashtags, tag), counts),
-        _timestamps(bins, bin_seconds),
+        np.repeat(np.searchsorted(users, owner), _joined(counts)),
+        tuple(f"h{t:0{tag_width}d}" for t in hashtags),
+        np.repeat(np.searchsorted(hashtags, tags), np.array(sizes, dtype=np.int64)),
+        ts,
     )
 
 

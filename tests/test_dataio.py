@@ -160,22 +160,44 @@ class TestParseRecords:
         ]
 
 
+def _canonical_corpus(n_users=5000):
+    cfg = SynthConfig(n_users, 48, trend_decay=0.15, repeat_prob=0.7, repeat_decay=0.1, seed=3)
+    return generate_corpus(cfg, 12)
+
+
 def _canonical_file(path, n_users=5000):
     """write_records of a seeded corpus; 5,000 users give about 5.9 MB."""
-    cfg = SynthConfig(n_users, 48, trend_decay=0.15, repeat_prob=0.7, repeat_decay=0.1, seed=3)
-    records = generate_corpus(cfg, 12)
+    records = _canonical_corpus(n_users)
     write_records(records, path)
     return records
 
 
+def _no_line_loop(*args):
+    raise AssertionError("a block took the line loop")
+
+
+class _Stalled(io.RawIOBase):
+    """A non-blocking stream that has one line ready and then no data."""
+
+    def __init__(self):
+        self.ready = b'{"user":"a","hashtag":"h","ts":1}\n'
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        if not self.ready:
+            return None
+        n = min(len(buffer), len(self.ready))
+        buffer[:n], self.ready = self.ready[:n], self.ready[n:]
+        return n
+
+
 class TestParseRecordsInBlocks:
     def test_written_records_parse_without_the_line_loop(self, tmp_path, monkeypatch):
-        def line_loop(*args):
-            raise AssertionError("a block took the line loop")
-
         path = tmp_path / "events.ndjson"
         records = _canonical_file(path, n_users=300)
-        monkeypatch.setattr(dataio, "_parse_lines", line_loop)
+        monkeypatch.setattr(dataio, "_parse_lines", _no_line_loop)
         monkeypatch.setattr(dataio, "_BLOCK_BYTES", 1 << 12)  # many blocks
         with open(path, "rb") as fh:
             assert parse_records(fh) == (records, 0)
@@ -183,6 +205,23 @@ class TestParseRecordsInBlocks:
         path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n").rstrip(b"\r\n"))
         with open(path, "rb") as fh:
             assert parse_records(fh) == (records, 0)
+
+    def test_unbuffered_file_is_read_in_blocks(self, tmp_path, monkeypatch):
+        path = tmp_path / "events.ndjson"
+        _canonical_file(path, n_users=300)
+        with open(path, "rb") as fh:
+            want = parse_records(fh)
+        monkeypatch.setattr(dataio, "_parse_lines", _no_line_loop)
+        monkeypatch.setattr(dataio, "_BLOCK_BYTES", 1 << 12)  # many blocks
+        with io.FileIO(path) as fh:
+            assert parse_records(fh) == want
+
+    @pytest.mark.parametrize("buffered", [False, True])
+    def test_a_read_with_no_data_ready_is_an_error(self, buffered):
+        # Ending the parse there would drop the rest of the stream without a word.
+        stream = io.BufferedReader(_Stalled()) if buffered else _Stalled()
+        with pytest.raises(ValueError, match="no data ready"):
+            parse_records(stream)
 
     def test_peak_memory_is_below_the_file_size(self, tmp_path):
         # The line loop peaks at about 2.5x the file and keeps 2.3x: a tuple per event.
@@ -373,12 +412,47 @@ class TestGenerateCorpus:
         five = [e for e in generate_corpus(cfg, 5) if e[1] == "h1"]
         assert two == five
 
+    @pytest.mark.parametrize("slots", [1, 37, 1000])
+    def test_chunks_of_participations_give_the_same_records(self, monkeypatch, slots):
+        # One slot leaves a buffer of n_bins slots, which is scored before almost every
+        # participation; 37 and 1000 slots cut the streams at many other points.
+        cfg = SynthConfig(n_users=300, n_bins=20, trend_decay=0.2, repeat_prob=0.6, seed=9)
+        want = generate_corpus(cfg, 3), generate_synthetic(cfg)
+        monkeypatch.setattr(dataio, "_DRAW_SLOTS", slots)
+        assert (generate_corpus(cfg, 3), generate_synthetic(cfg)) == want
+
+    def test_peak_memory_stays_below_twice_the_columns(self):
+        # The records' columns take 24 B per event.  The draws are scored a chunk at a
+        # time; holding every participation's later-bin draws at once would add 8 B per
+        # later bin, about 6.7 MB at these settings, and break the bound.
+        tracemalloc.start()
+        try:
+            records = _canonical_corpus()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        columns = records.user.nbytes + records.hashtag.nbytes + records.ts.nbytes
+        assert len(records) > 100_000
+        assert peak <= 2 * columns
+
     def test_rejects_bad_arguments(self):
         cfg = SynthConfig(n_users=5, n_bins=5)
         with pytest.raises(ValueError, match="n_hashtags"):
             generate_corpus(cfg, 0)
         with pytest.raises(ValueError, match="participation"):
             generate_corpus(cfg, 2, participation=0.0)
+
+    @pytest.mark.parametrize("bin_seconds", [-1, 1.5, True])
+    def test_bad_bin_seconds_is_rejected_before_any_draw(self, monkeypatch, bin_seconds):
+        def drawn(*args):
+            raise AssertionError("the draws were made")
+
+        monkeypatch.setattr(dataio, "_adoptions", drawn)
+        cfg = SynthConfig(n_users=5, n_bins=5)
+        with pytest.raises(ValueError, match="bin_seconds"):
+            generate_corpus(cfg, 2, bin_seconds=bin_seconds)
+        with pytest.raises(ValueError, match="bin_seconds"):
+            generate_synthetic(cfg, bin_seconds=bin_seconds)
 
 
 class TestCumulativeCounts:

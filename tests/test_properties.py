@@ -505,8 +505,8 @@ _STREAM_KINDS = ["bytes", "file", "list", "text"]
 @example(_ODD_BYTES, "list")
 @example(_ODD_BYTES, "text")
 def test_parse_records_matches_per_line_json_loads(lines, kind):
-    # A buffered byte stream takes the block reader; an unbuffered file, a list of
-    # byte lines and a text stream take the line loop.
+    # A byte stream, buffered or not, takes the block reader; a list of byte lines
+    # and a text stream take the line loop.
     data = b"".join(line + b"\n" for line in lines)
     text = io.StringIO(data.decode("utf-8", "replace"), newline="\n")
     want = _parse_oracle(list(text if kind == "text" else io.BytesIO(data)))
@@ -684,6 +684,14 @@ def synth_configs(draw):
 
 @settings(deadline=None, max_examples=50)
 @given(synth_configs(), st.integers(1, 4), st.floats(0.05, 1.0), st.integers(1, 7200))
+@example(SynthConfig(3, 2, trend_decay=0.01, seed=0), 2, 1.0, 3600)  # every onset in the last bin: no later draws
+@example(SynthConfig(25, 30, trend_decay=1 / 3, seed=5), 3, 0.5, 60)  # geometric by search: one draw per onset
+@example(SynthConfig(25, 30, trend_decay=0.3, seed=5), 3, 0.5, 60)  # geometric by inversion: a varying number
+@example(SynthConfig(20, 12, repeat_prob=0.0, seed=6), 2, 0.7, 1)
+@example(SynthConfig(20, 12, repeat_prob=1.0, repeat_decay=0.0, seed=6), 2, 0.7, 1)
+@example(SynthConfig(1, 8, seed=7), 1, 1.0, 3600)
+@example(SynthConfig(6, 6, trend_decay=0.5, seed=4), 2, 0.8, 2**62)  # ts from 2**63 on: the object column
+@example(SynthConfig(4, 3, trend_decay=1.0, repeat_prob=0.0, seed=2), 2, 1.0, 2**63)  # bin_seconds past int64, every bin 0
 def test_generators_match_one_scalar_draw_per_bin(cfg, n_hashtags, participation, bin_seconds):
     rng = np.random.default_rng(cfg.seed)
     width = len(str(cfg.n_users - 1))
