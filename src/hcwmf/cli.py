@@ -22,7 +22,7 @@ from .dataio import (
     save_matrix_csv,
     write_records,
 )
-from .factorization import TrainConfig, train
+from .factorization import TrainConfig, _zero_factors, train
 from .harness import METHODS, run_sweep
 from .masks import HeldOutSet
 from .masks import build_masks  # noqa: F401  uncalled; hook hcwmf.cli.build_masks of perfbench/child.py
@@ -209,7 +209,7 @@ def _cmd_train(args) -> int:
         f"trained d={cfg.d} mu={cfg.mu}: {trace.iterations_run} iterations, "
         f"converged={trace.converged}, objective={final!r}"
     )
-    zero = [name for name, f in (("U", factors.u), ("V", factors.v)) if not f.data.any()]
+    zero = _zero_factors(factors)
     if zero:
         print(
             f"warning: the fit ended with {' and '.join(zero)} all zeros, so every score is 0; "

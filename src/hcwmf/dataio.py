@@ -74,7 +74,7 @@ def _event_problem(user, hashtag, ts) -> str | None:
 
 def _codes(values: list) -> tuple[tuple, np.ndarray]:
     """The sorted distinct values and each value's index among them."""
-    ids = sorted(set(values))
+    ids = sorted(dict.fromkeys(values))  # first-occurrence order is often near sorted, a set's is not
     index = dict(zip(ids, range(len(ids))))
     return tuple(ids), np.fromiter(map(index.__getitem__, values), dtype=np.int64, count=len(values))
 
@@ -324,43 +324,45 @@ def _parse_lines(lines, lineno: int, ids: dict, users: list, hashtags: list, ts:
     return skipped, lineno
 
 
-def _merged_codes(fixed: list, codes: list, ids: dict) -> tuple[tuple[str, ...], np.ndarray]:
-    """One id column of the blocks' sorted fixed-width ids and codes: the sorted distinct
-    ids, one str per id through ``ids``, and int64 codes into them."""
-    width = max(a.itemsize for a in fixed)
-    merged, inverse = _unique_ids(np.concatenate([a.astype(f"S{width}") for a in fixed]))
+def _merged_codes(block_ids: list, codes: list, ids: dict) -> tuple[tuple[str, ...], np.ndarray]:
+    """One id column of the blocks' sorted distinct ids and codes: the sorted distinct ids,
+    one str per id through ``ids``, and int64 codes into them in block order.
+
+    Compact blocks' fixed-width ids are merged by numpy.  A line-loop block's ids are str
+    and never pass through a numpy string array, which strips trailing NULs (a JSON id may
+    end in "\\u0000"); they join the compact ids in one Python merge of distinct ids.
+    """
+    fixed = [a for a in block_ids if isinstance(a, np.ndarray)]
+    names, inverse = (), np.empty(0, dtype=np.int64)
+    if fixed:
+        width = max(a.itemsize for a in fixed)
+        merged, inverse = _unique_ids(np.concatenate([a.astype(f"S{width}") for a in fixed]))
+        names = tuple(ids.setdefault(s, s.decode("ascii")) for s in merged.tolist())
+    if len(fixed) < len(block_ids):
+        # The compact ids are one sorted run already: the sort mostly places the new ids.
+        merged = [*names, *set().union(*(a for a in block_ids if isinstance(a, tuple))).difference(names)]
+        merged.sort()
+        position = dict(zip(merged, range(len(merged))))
+        inverse = np.fromiter(map(position.__getitem__, names), np.int64, len(names))[inverse]
+        names = tuple(merged)
     out = np.empty(sum(c.size for c in codes), dtype=np.int64)
     a = k = 0
-    for block_ids, block_codes in zip(fixed, codes):
-        np.take(inverse[k : k + block_ids.size], block_codes, out=out[a : a + block_codes.size])
+    for block, block_codes in zip(block_ids, codes):
+        if isinstance(block, tuple):
+            remap = np.fromiter(map(position.__getitem__, block), np.int64, len(block))
+        else:
+            remap, k = inverse[k : k + block.size], k + block.size
+        np.take(remap, block_codes, out=out[a : a + block_codes.size])
         a += block_codes.size
-        k += block_ids.size
-    return tuple(ids.setdefault(s, s.decode("ascii")) for s in merged.tolist()), out
-
-
-def _decoded(fixed: np.ndarray, codes: np.ndarray, ids: dict) -> list[str]:
-    """The str of each code into the fixed-width ids, one str per id through ``ids``."""
-    names = [ids.setdefault(s, s.decode("ascii")) for s in fixed.tolist()]
-    return [names[c] for c in codes.tolist()]
+    return names, out
 
 
 def _assembled(blocks: list, ids: dict) -> AdoptionRecords:
-    """Records of the blocks in order: each the 5 columns of _canonical_columns or the 3
-    event lists of the line loop."""
-    if blocks and all(len(b) == 5 for b in blocks):
-        users, user = _merged_codes([b[0] for b in blocks], [b[1] for b in blocks], ids)
-        hashtags, hashtag = _merged_codes([b[2] for b in blocks], [b[3] for b in blocks], ids)
-        ts = np.concatenate([b[4] for b in blocks])
-        return AdoptionRecords._checked(users, user, hashtags, hashtag, ts)
-    # Some block took the line loop: every event goes through the lists.
-    users, hashtags, ts = [], [], []
-    for b in blocks:
-        if len(b) == 5:
-            b = (_decoded(b[0], b[1], ids), _decoded(b[2], b[3], ids), b[4].tolist())
-        users += b[0]
-        hashtags += b[1]
-        ts += b[2]
-    return AdoptionRecords._checked(*_codes(users), *_codes(hashtags), _ts_column(ts))
+    """Records of the blocks in order, each (user ids, user codes, hashtag ids, hashtag
+    codes, ts): fixed-width ids from _canonical_columns, or str ids from the line loop."""
+    users, user = _merged_codes([b[0] for b in blocks], [b[1] for b in blocks], ids)
+    hashtags, hashtag = _merged_codes([b[2] for b in blocks], [b[3] for b in blocks], ids)
+    return AdoptionRecords._checked(users, user, hashtags, hashtag, _joined([b[4] for b in blocks]))
 
 
 def parse_records(stream) -> tuple[AdoptionRecords, int]:
@@ -378,9 +380,10 @@ def parse_records(stream) -> tuple[AdoptionRecords, int]:
     returns None, as a non-blocking stream with no data ready does, raises
     ValueError.  A block whose every line has the compact form ``write_records``
     emits is checked by one regex and split into columns by numpy; any other
-    block is split as ``readlines`` splits it and goes through the line loop.
-    Every other stream or iterable goes through the line loop line by line.
-    Within one parse each distinct id is one shared str.
+    block is split as ``readlines`` splits it and goes through the line loop,
+    so a non-compact line costs only its own block.  Every other stream or
+    iterable goes through the line loop as one block.  Within one parse each
+    distinct id is one shared str.
     """
     binary = isinstance(stream, (io.BufferedIOBase, io.RawIOBase))
     if binary:
@@ -396,10 +399,11 @@ def parse_records(stream) -> tuple[AdoptionRecords, int]:
     for block in lines:
         columns = _canonical_columns(block) if binary else None
         if columns is None:
-            columns = ([], [], [])
+            users, hashtags, ts = [], [], []
             # A bytes block is split as readlines splits it: at "\n" only.
-            bad, lineno = _parse_lines(io.BytesIO(block) if binary else block, lineno, ids, *columns)
+            bad, lineno = _parse_lines(io.BytesIO(block) if binary else block, lineno, ids, users, hashtags, ts)
             skipped += bad
+            columns = (*_codes(users), *_codes(hashtags), _ts_column(ts))
         else:
             lineno += len(columns[4])
         blocks.append(columns)
@@ -551,7 +555,7 @@ def _timestamps(bins: np.ndarray, bin_seconds: int) -> np.ndarray:
 
 
 def _joined(chunks: list) -> np.ndarray:
-    """The int64 chunks as one array; the list is emptied, so that each chunk is freed."""
+    """The chunks as one array (int64 when none); the list is emptied, so each chunk is freed."""
     out = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
     chunks.clear()
     return out

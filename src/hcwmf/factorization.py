@@ -93,6 +93,11 @@ class FactorPair:
             raise ValueError("factors must be nonnegative")
 
 
+def _zero_factors(factors: FactorPair) -> list[str]:
+    """The names, "U" and "V", of the factors a fit left all zeros; then every score is 0."""
+    return [name for name, f in (("U", factors.u), ("V", factors.v)) if not f.data.any()]
+
+
 @dataclass(frozen=True)
 class TrainTrace:
     """Objective values recorded during a fit, one per completed iteration."""

@@ -5,20 +5,25 @@ same training matrix and is scored on the same held-out cells (which were
 positives, so the target value is 1), making comparisons paired.  All
 per-cell seeds derive from the single seed in the training config, so a
 whole sweep is reproducible from one integer.  A method that fails inside a
-cell with a ValueError or an ArithmeticError (numpy's LinAlgError and
-FloatingPointError among them) produces an error row instead of aborting
-the sweep; any other exception is a bug and propagates.
+cell on its data produces an error row instead of aborting the sweep: the
+markov baseline with fewer than 2 columns and the ar baseline with no more
+columns than its order, both checked before any fit, and a fit that raises
+numpy's LinAlgError or an ArithmeticError (FloatingPointError among them).
+Any other exception, a ValueError from numpy included, is a bug and
+propagates.  An hcwmf or wmf fit that ends with U or V all zeros scores 0
+everywhere; the sweep warns when that happens.
 """
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .baselines import fit_ar, fit_markov, predict_markov, random_predict
 from .baselines import predict_ar  # noqa: F401  uncalled; hook hcwmf.harness.predict_ar of perfbench/child.py
-from .factorization import TrainConfig, _cell_products, train
+from .factorization import TrainConfig, _cell_products, _zero_factors, train
 from .factorization import predict  # noqa: F401  uncalled; hook hcwmf.harness.predict of perfbench/child.py
 from .linalg import SparseBinaryMatrix
 from .masks import HeldOutSet
@@ -217,6 +222,12 @@ def run_sweep(
     for fraction in fraction_list:
         SplitSpec(fraction=fraction)  # rejects a bad fraction before any fit
     master = cfg.seed
+    # The baselines' data failures, with the text of the ValueError each fit would raise.
+    data_errors = {}
+    if x.cols < 2:
+        data_errors["markov"] = f"ValueError: need at least 2 columns to count transitions, got {x.cols}"
+    if x.cols <= ar_order:
+        data_errors["ar"] = f"ValueError: series of length {x.cols} cannot fit order {ar_order}"
 
     rows = []
     for fraction in fraction_list:
@@ -229,11 +240,22 @@ def run_sweep(
             train_seed = _derived_seed([master, _TRAIN_TAG, frac_key, d])
             random_seed = _derived_seed([master, _RANDOM_TAG, frac_key, d])
             for method in method_list:
+                if method in data_errors:
+                    rows.append(ResultRow(dataset, method, fraction, d, None, data_errors[method]))
+                    continue
                 try:
                     if method in ("hcwmf", "wmf"):
                         mu = 0.0 if method == "wmf" else cfg.mu
                         run_cfg = replace(cfg, d=d, mu=mu, seed=train_seed)
                         factors, _ = train(x_train, held, run_cfg)
+                        zero = _zero_factors(factors)
+                        if zero:
+                            warnings.warn(
+                                f"{method} at fraction {fraction}% and d={d}: the fit ended with "
+                                f"{' and '.join(zero)} all zeros, so every score is 0; "
+                                "a smaller learning_rate may avoid this",
+                                stacklevel=2,
+                            )
                         # U V^T on the held-out cells only, not the full N x M product.
                         preds = np.empty(len(held))
                         _cell_products(factors.u.data, factors.v.data, held.row, held.col, out=preds)
@@ -248,7 +270,7 @@ def run_sweep(
                     if clamp:
                         preds = np.clip(preds, 0.0, 1.0)
                     score, error = rmse(preds, actual), ""
-                except (ValueError, ArithmeticError) as exc:
+                except (np.linalg.LinAlgError, ArithmeticError) as exc:
                     score, error = None, f"{type(exc).__name__}: {exc}"
                 rows.append(ResultRow(dataset, method, fraction, d, score, error))
     return ResultsTable(rows=tuple(rows))

@@ -262,6 +262,23 @@ class TestParseRecordsInBlocks:
         assert calls == [1]
         assert peak < 10 * path.stat().st_size
 
+    def test_a_malformed_line_costs_only_its_block(self, tmp_path, monkeypatch):
+        # Only the block that holds the bad line goes through the line loop and its
+        # Python lists; every other block stays in columns.
+        path = tmp_path / "events.ndjson"
+        records = _canonical_file(path, n_users=300)
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(b"".join(lines[: len(lines) // 2] + [b"{bad\n"] + lines[len(lines) // 2 :]))
+        seen = []
+        codes = dataio._codes
+        monkeypatch.setattr(dataio, "_codes", lambda values: seen.append(len(values)) or codes(values))
+        monkeypatch.setattr(dataio, "_BLOCK_BYTES", 1 << 12)  # many blocks
+        with open(path, "rb") as fh, pytest.warns(UserWarning, match=f"line {len(lines) // 2 + 1}: not valid JSON"):
+            assert parse_records(fh) == (records, 1)
+        # Users and hashtags of the one block, which holds fewer lines than its bytes.
+        assert len(seen) == 2 and seen[0] == seen[1]
+        assert 0 < seen[0] < 1 << 12 < len(records)
+
 
 class TestWriteRecords:
     def test_exact_bytes(self, tmp_path):

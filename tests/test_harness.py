@@ -254,10 +254,15 @@ class TestRunSweep:
         cfg = TrainConfig(max_iters=5, seed=0)
         table = run_sweep(x, list(METHODS), [40.0], [2], cfg)
         by_method = {r.method: r for r in table.rows}
+        # The rows are written before any fit, with the text the fit itself raises.
+        with pytest.raises(ValueError) as markov_error:
+            harness.fit_markov(x)
+        with pytest.raises(ValueError) as ar_error:
+            harness.fit_ar(np.zeros(1), p=2)
         assert by_method["markov"].rmse is None
-        assert by_method["markov"].error.startswith("ValueError")
+        assert by_method["markov"].error == f"ValueError: {markov_error.value}"
         assert by_method["ar"].rmse is None
-        assert by_method["ar"].error.startswith("ValueError")
+        assert by_method["ar"].error == f"ValueError: {ar_error.value}"
         for ok in ("hcwmf", "wmf", "random"):
             assert by_method[ok].error == ""
             assert by_method[ok].rmse is not None
@@ -284,6 +289,33 @@ class TestRunSweep:
         x = SparseBinaryMatrix(4, 6, [(0, 1), (1, 2), (2, 3), (3, 4)])
         with pytest.raises(TypeError, match="bug in the caller"):
             run_sweep(x, ["ar"], [50.0], [2])
+
+    def test_numpy_value_errors_propagate(self, monkeypatch):
+        # A shape bug makes numpy raise a ValueError; it must not become an error row.
+        cell_products = harness._cell_products
+
+        def one_longer(u, v, rows, cols, out):
+            cell_products(u, v, rows, cols, out=out)
+            out += np.ones(out.size + 1)
+
+        monkeypatch.setattr(harness, "_cell_products", one_longer)
+        x = SparseBinaryMatrix(4, 6, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        with pytest.raises(ValueError, match="could not be broadcast"):
+            run_sweep(x, ["hcwmf"], [50.0], [2], TrainConfig(max_iters=5, seed=0))
+
+    def test_a_collapsed_fit_warns(self):
+        # Steps this large overshoot zero at once, and the clamp leaves U and V all zeros.
+        x = SparseBinaryMatrix(6, 8, [(i, j) for i in range(6) for j in range(8) if (i + j) % 3 == 0])
+        cfg = TrainConfig(max_iters=3, learning_rate=1.0, gamma1=10.0, gamma2=10.0, seed=0)
+        with pytest.warns(UserWarning) as caught:
+            table = run_sweep(x, ["hcwmf", "wmf", "random"], [30.0], [2], cfg)
+        assert [str(w.message) for w in caught] == [
+            f"{method} at fraction 30.0% and d=2: the fit ended with U and V all zeros, "
+            "so every score is 0; a smaller learning_rate may avoid this"
+            for method in ("hcwmf", "wmf")
+        ]
+        assert all(w.filename == __file__ for w in caught)
+        assert [r.rmse for r in table.rows[:2]] == [1.0, 1.0]
 
     def test_clamp_bounds_scores(self):
         rng = np.random.default_rng(53)
