@@ -12,9 +12,15 @@ decaying afterwards.
 import io
 import json
 import math
+import os
+import pickle
 import re
+import signal
+import stat
+import threading
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -45,11 +51,15 @@ _raw_decode = json.JSONDecoder().raw_decode
 _ID = rb'([\x20\x21\x23-\x5b\x5d-\x7e]++)'
 _RECORD = rb'\{"user":"' + _ID + rb'","hashtag":"' + _ID + rb'","ts":(0|[1-9][0-9]{0,17}+)\}'
 _canonical_record = re.compile(_RECORD + rb"(?:\r?\n)?").fullmatch
-# A block of such lines; only the stream's last line may lack its newline.  The repeat is
-# possessive, like _canonical_matrix's.
-_canonical_block = re.compile(rb"(?:" + _RECORD + rb"\r?\n)*+(?:" + _RECORD + rb")?").fullmatch
+# The longest head of a block made of such lines; only the stream's last line may lack its
+# newline.  The repeat is possessive, like _canonical_matrix's.
+_canonical_block = re.compile(rb"(?:" + _RECORD + rb"\r?\n)*+(?:" + _RECORD + rb")?").match
 
 _BLOCK_BYTES = 1 << 18  # bytes per read of parse_records
+# Two processes parse a regular file when more bytes than this remain.  Below about five
+# blocks the fork, the worker's page faults and the pickled half cost more than the half
+# saves (BENCH_two_process_parse.json, "crossover").
+_TWO_PROCESS_BYTES = 5 << 18
 
 
 # The exact bytes save_matrix_csv writes, with every count below 10**18 so that it fits int64.
@@ -226,9 +236,21 @@ def _unique_ids(fixed: np.ndarray):
     return ids.view("S8"), codes
 
 
+def _compact_head(block: bytes) -> int:
+    """The length of the block's longest head of whole lines in write_records' compact form.
+
+    The match ends inside the first other line, or after a compact head of it: the
+    optional newline-less last record can match the start of a longer line.  So unless
+    it covers the block, the head ends at the last newline inside the match.
+    """
+    end = _canonical_block(block).end()
+    return end if end == len(block) else block.rfind(b"\n", 0, end) + 1
+
+
 def _canonical_columns(block: bytes):
     """(user ids, user codes, hashtag ids, hashtag codes, ts) of a block of lines that all
-    have write_records' compact form, or None for any other block.
+    have write_records' compact form (see _compact_head), or None when one id is so long
+    that the fixed-width id array would be larger than the block.
 
     The ids are sorted distinct fixed-width bytes, and the codes (int32) index them.  Ids
     hold no quote, so each line's ids lie between its 3rd and 4th and its 7th and 8th of
@@ -236,8 +258,6 @@ def _canonical_columns(block: bytes):
     which is two before the next line's 1st quote; the last line's newline is the block's
     last byte, or one past it.
     """
-    if not _canonical_block(block):
-        return None
     buf = np.frombuffer(block, dtype=np.uint8)
     quotes = np.flatnonzero(buf == ord('"')).reshape(-1, 10)
     ends = np.empty(len(quotes), dtype=np.int64)
@@ -275,15 +295,14 @@ def _byte_blocks(stream):
         yield tail
 
 
-def _parse_lines(lines, lineno: int, ids: dict, users: list, hashtags: list, ts: list):
-    """The line loop: appends each valid event of ``lines`` to the three lists and returns
-    (skipped count, last line number).
+def _parse_lines(lines, lineno: int, ids: dict, users: list, hashtags: list, ts: list, problems: list) -> int:
+    """The line loop: appends each valid event of ``lines`` to the three lists and each
+    skipped line's (line number, reason) to ``problems``, and returns the last line number.
 
     Lines are numbered from ``lineno`` + 1.  A compact bytes line is matched by one regex,
-    and ``ids`` gives one str per distinct id across the parse; any other line goes
-    through the decoder.  Warnings name the caller of parse_records.
+    and ``ids`` gives one str per distinct id across the range; any other line goes
+    through the decoder.
     """
-    skipped = 0
     for lineno, raw in enumerate(lines, start=lineno + 1):
         if isinstance(raw, bytes):
             canonical = _canonical_record(raw)
@@ -300,8 +319,7 @@ def _parse_lines(lines, lineno: int, ids: dict, users: list, hashtags: list, ts:
             try:
                 raw = raw.decode("utf-8")
             except UnicodeDecodeError:
-                warnings.warn(f"line {lineno}: not valid UTF-8, skipped", stacklevel=3)
-                skipped += 1
+                problems.append((lineno, "not valid UTF-8"))
                 continue
         line = raw.strip()
         if not line:
@@ -311,17 +329,15 @@ def _parse_lines(lines, lineno: int, ids: dict, users: list, hashtags: list, ts:
         except ValueError:  # JSONDecodeError, or an integer beyond int's digit limit
             end = None
         if end != len(line):
-            warnings.warn(f"line {lineno}: not valid JSON, skipped", stacklevel=3)
-            skipped += 1
+            problems.append((lineno, "not valid JSON"))
             continue
         if not isinstance(obj, dict) or _event_problem(obj.get("user"), obj.get("hashtag"), obj.get("ts")):
-            warnings.warn(f"line {lineno}: malformed record, skipped", stacklevel=3)
-            skipped += 1
+            problems.append((lineno, "malformed record"))
             continue
         users.append(obj["user"])
         hashtags.append(obj["hashtag"])
         ts.append(obj["ts"])
-    return skipped, lineno
+    return lineno
 
 
 def _merged_codes(block_ids: list, codes: list, ids: dict) -> tuple[tuple[str, ...], np.ndarray]:
@@ -365,6 +381,170 @@ def _assembled(blocks: list, ids: dict) -> AdoptionRecords:
     return AdoptionRecords._checked(users, user, hashtags, hashtag, _joined([b[4] for b in blocks]))
 
 
+def _parsed(blocks, ids: dict) -> tuple[list, list, int]:
+    """One range of a stream, given as the blocks of _byte_blocks or as one iterable of
+    lines: (the columns of its parts in order, its problems as (line number within the
+    range, reason), its line count).
+
+    A block's compact head (see _compact_head) becomes columns by _canonical_columns,
+    unless an id is too long for them.  The rest of the block, or all of it, is split as
+    readlines splits it (at "\n" only), goes through the line loop and becomes sorted
+    distinct str ids and codes.  An iterable of lines goes through the line loop as it
+    is.  Nothing here warns: a worker process may parse the range.
+    """
+    parts, problems, lineno = [], [], 0
+    for block in blocks:
+        if isinstance(block, bytes):
+            cut = _compact_head(block)
+            columns = _canonical_columns(block[:cut]) if cut else None
+            if columns is not None:
+                parts.append(columns)
+                lineno += len(columns[4])
+                block = block[cut:]
+                if not block:
+                    continue
+            block = io.BytesIO(block)
+        users, hashtags, ts = [], [], []
+        lineno = _parse_lines(block, lineno, ids, users, hashtags, ts, problems)
+        parts.append((*_codes(users), *_codes(hashtags), _ts_column(ts)))
+    return parts, problems, lineno
+
+
+class _FileRange:
+    """Bytes [at, stop) of a file descriptor, read by os.pread for _byte_blocks.  A pread
+    leaves the descriptor's offset alone, so two processes can read one descriptor."""
+
+    def __init__(self, fd: int, at: int, stop: int):
+        self.fd, self.at, self.stop = fd, at, stop
+
+    def read(self, n: int) -> bytes:
+        chunk = os.pread(self.fd, min(n, self.stop - self.at), self.at)
+        self.at += len(chunk)
+        return chunk
+
+
+def _quota_cpus(cgroups: str = "/proc/self/cgroup", root: str = "/sys/fs/cgroup") -> float:
+    """The CPUs' worth of time that a cgroup CPU quota allows this process, or inf without
+    one: the least over its cgroups and their ancestors of v2 ``cpu.max`` and of v1
+    ``cpu.cfs_quota_us`` over ``cpu.cfs_period_us``.  A container's own cgroup is often
+    mounted as the root, where its /proc path does not exist; the root is read too."""
+    cpus = math.inf
+    try:
+        with open(cgroups) as lines:
+            entries = [line.rstrip("\n").split(":", 2) for line in lines]
+    except OSError:
+        return cpus
+    for _, controllers, path in entries:
+        if controllers and "cpu" not in controllers.split(","):
+            continue
+        leaf = Path(root, controllers, path.lstrip("/"))
+        for node in [leaf, *leaf.parents][: len(Path(path).parts)]:
+            try:
+                if controllers:  # v1
+                    quota = (node / "cpu.cfs_quota_us").read_text().strip()
+                    period = (node / "cpu.cfs_period_us").read_text()
+                else:
+                    quota, period = (node / "cpu.max").read_text().split()
+                if quota not in ("max", "-1"):
+                    cpus = min(cpus, int(quota) / int(period))
+            except (OSError, ValueError, ZeroDivisionError):
+                continue
+    return cpus
+
+
+def _halves(stream) -> tuple[int, int, int, int] | None:
+    """(fd, start, cut, size) when a worker process should parse half of a regular file:
+    the bytes [start, size) that remain are cut after the first newline at or past their
+    midpoint.  None for any other stream, for _TWO_PROCESS_BYTES or less, with fewer than
+    two usable CPUs (by affinity or by cgroup quota), or where fork is missing or unsafe
+    (another Python thread runs)."""
+    raw = stream.raw if isinstance(stream, io.BufferedReader) else stream
+    if not (
+        isinstance(raw, io.FileIO)
+        and raw.readable()
+        and hasattr(os, "fork")
+        and threading.active_count() == 1
+        and hasattr(os, "sched_getaffinity")
+        and len(os.sched_getaffinity(0)) >= 2
+    ):
+        return None
+    fd = raw.fileno()
+    info = os.fstat(fd)
+    if not stat.S_ISREG(info.st_mode):  # a pipe cannot tell()
+        return None
+    start, size = stream.tell(), info.st_size
+    if size - start <= _TWO_PROCESS_BYTES or _quota_cpus() < 2:
+        return None
+    cut = start + (size - start) // 2
+    while chunk := os.pread(fd, min(_BLOCK_BYTES, size - cut), cut):
+        newline = chunk.find(b"\n")
+        if newline >= 0:
+            cut += newline + 1
+            return (fd, start, cut, size) if cut < size else None
+        cut += len(chunk)
+    return None
+
+
+def _worker(parse, read: int, write: int) -> None:
+    """The forked worker: sends parse()'s result, or the exception it raised, to the parent
+    through the pipe and leaves by os._exit, so it runs none of the parent's exit handlers
+    and flushes none of its buffers."""
+    status = 1
+    try:
+        os.close(read)
+        try:
+            result = parse()
+        except BaseException as exc:  # re-raised by the parent
+            result = exc
+        with open(write, "wb") as pipe:
+            pickle.dump(result, pipe, protocol=5)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _two_ranges(fd: int, start: int, cut: int, size: int, ids: dict) -> list:
+    """[_parsed of [start, cut), _parsed of [cut, size)] of the file: this process parses
+    the first range while a forked worker parses the second.  When fork fails, this
+    process parses both."""
+    first = lambda: _parsed(_byte_blocks(_FileRange(fd, start, cut)), ids)
+    second = lambda: _parsed(_byte_blocks(_FileRange(fd, cut, size)), {})
+    read, write = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns at fork when any OS thread runs besides this one, such as
+            # an idle BLAS pool's; the worker starts none and only parses.
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        return [first(), second()]
+    if not pid:
+        _worker(second, read, write)
+    died = False
+    try:
+        os.close(write)
+        ranges = [first()]
+        with open(read, "rb", closefd=False) as pipe:
+            try:
+                ranges.append(pickle.load(pipe))
+            except (EOFError, pickle.UnpicklingError):  # the worker ended before sending all of it
+                died = True
+    except BaseException:  # this process failed first: the worker's result is not wanted
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.close(read)
+        status = os.waitpid(pid, 0)[1]
+    if died:
+        code = os.waitstatus_to_exitcode(status)
+        raise OSError(f"the parse worker ended with exit status {code} and no result")
+    if isinstance(ranges[1], BaseException):
+        raise ranges[1]
+    return ranges
+
+
 def parse_records(stream) -> tuple[AdoptionRecords, int]:
     """Read newline-delimited JSON events; returns (records, skipped count).
 
@@ -378,36 +558,48 @@ def parse_records(stream) -> tuple[AdoptionRecords, int]:
     ``"rb"``, ``BytesIO``, a gzip or bz2 file, an unbuffered ``io.FileIO``) is
     read in raw blocks of about _BLOCK_BYTES of whole lines; a read that
     returns None, as a non-blocking stream with no data ready does, raises
-    ValueError.  A block whose every line has the compact form ``write_records``
-    emits is checked by one regex and split into columns by numpy; any other
-    block is split as ``readlines`` splits it and goes through the line loop,
-    so a non-compact line costs only its own block.  Every other stream or
-    iterable goes through the line loop as one block.  Within one parse each
-    distinct id is one shared str.
+    ValueError.  The head of a block whose lines have the compact form
+    ``write_records`` emits is checked by one regex and split into columns by
+    numpy; the rest of the block, from its first other line on, is split as
+    ``readlines`` splits it and goes through the line loop.  Every other
+    stream or iterable goes through the line loop as one block.  Within one
+    parse each distinct id is one shared str.
+
+    A regular file (an ``io.FileIO``, or an ``io.BufferedReader`` over one,
+    as ``open(path, "rb")`` returns) with more than _TWO_PROCESS_BYTES
+    (1.25 MiB) left is parsed in two halves read by ``os.pread`` when this
+    process may use two or more CPUs: its affinity mask holds two, and no
+    cgroup CPU quota on its cgroup or an ancestor allows less than two.  A
+    forked worker process parses the second half while this one parses the
+    first.  The worker sends its columns back through a pipe and exits; it
+    costs a fork and one pickled copy of its half's columns.
+    Warnings are issued here, in file order, after both halves; bytes appended
+    to the file after the parse began are read last.  The stream is left at
+    its end either way.
     """
-    binary = isinstance(stream, (io.BufferedIOBase, io.RawIOBase))
-    if binary:
-        lines = _byte_blocks(stream)
+    ids: dict[bytes, str] = {}
+    if isinstance(stream, (io.BufferedIOBase, io.RawIOBase)):
+        halves = _halves(stream)
+        if halves is None:
+            ranges = [_parsed(_byte_blocks(stream), ids)]
+        else:
+            ranges = _two_ranges(*halves, ids)
+            stream.seek(halves[-1])  # the size at the start: what was appended since comes last
+            ranges.append(_parsed(_byte_blocks(stream), ids))
     else:
         try:
-            lines = (iter(stream),)  # one pass of the line loop
+            lines = iter(stream)
         except TypeError:
             raise ValueError(f"stream is not readable line by line: {stream!r}") from None
-    blocks = []
-    ids: dict[bytes, str] = {}
-    skipped = lineno = 0
-    for block in lines:
-        columns = _canonical_columns(block) if binary else None
-        if columns is None:
-            users, hashtags, ts = [], [], []
-            # A bytes block is split as readlines splits it: at "\n" only.
-            bad, lineno = _parse_lines(io.BytesIO(block) if binary else block, lineno, ids, users, hashtags, ts)
-            skipped += bad
-            columns = (*_codes(users), *_codes(hashtags), _ts_column(ts))
-        else:
-            lineno += len(columns[4])
-        blocks.append(columns)
-    return _assembled(blocks, ids), skipped
+        ranges = [_parsed((lines,), ids)]
+    parts, skipped, offset = [], 0, 0
+    for range_parts, problems, n_lines in ranges:
+        parts += range_parts
+        for lineno, reason in problems:
+            warnings.warn(f"line {offset + lineno}: {reason}, skipped", stacklevel=2)
+        skipped += len(problems)
+        offset += n_lines
+    return _assembled(parts, ids), skipped
 
 
 _WRITE_CHUNK = 1 << 10  # events per write of write_records; small chunks keep its text off the peak

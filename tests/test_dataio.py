@@ -1,8 +1,12 @@
 """Tests for record parsing, binning, serialization, and the generator."""
 
+import errno
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -172,6 +176,14 @@ def _canonical_file(path, n_users=5000):
     return records
 
 
+_COMPACT_LINE = b'{"user":"u1","hashtag":"h","ts":7}'
+
+
+def _one_cpu(monkeypatch):
+    """Let parse_records see one usable CPU, so that it starts no worker process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+
 def _no_line_loop(*args):
     raise AssertionError("a block took the line loop")
 
@@ -278,6 +290,230 @@ class TestParseRecordsInBlocks:
         # Users and hashtags of the one block, which holds fewer lines than its bytes.
         assert len(seen) == 2 and seen[0] == seen[1]
         assert 0 < seen[0] < 1 << 12 < len(records)
+
+    @pytest.mark.parametrize("odd, events", [(b"{bad", 30), (_COMPACT_LINE + b" ", 31)])
+    def test_a_failed_block_keeps_its_compact_head(self, tmp_path, monkeypatch, odd, events):
+        # Only the lines from the first non-compact one on take the line loop.  A compact
+        # record followed by a space is the head of a longer line, not a compact line.
+        data = b"".join([_COMPACT_LINE + b"\n"] * 50 + [odd + b"\n"] + [_COMPACT_LINE + b"\n"] * 30)
+        want = (AdoptionRecords.of([("u1", "h", 7)] * (50 + events)), 81 - 50 - events)
+        seen = []
+        codes = dataio._codes
+        monkeypatch.setattr(dataio, "_codes", lambda values: seen.append(len(values)) or codes(values))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            records, skipped = parse_records(io.BytesIO(data))
+        assert (records, skipped) == want
+        assert [str(w.message) for w in caught] == ["line 51: not valid JSON, skipped"] * skipped
+        assert seen == [events, events]
+
+
+def _no_child():
+    """No child process is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _parsed_path(path, opener=open):
+    with opener(path, "rb") as fh, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        records, skipped = parse_records(fh)
+        assert fh.read() == b""  # left at the end
+    _no_child()
+    return records, skipped, [(str(w.message), w.filename) for w in caught]
+
+
+class TestParseRecordsInTwoProcesses:
+    """A regular file of more than one block is parsed in two halves, the second by a
+    forked worker process, with the same records, skipped count and warnings."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The number of forks, with two usable CPUs, many blocks and a low threshold."""
+        calls = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: calls.append(1) or fork())
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(dataio, "_quota_cpus", lambda: math.inf)
+        monkeypatch.setattr(dataio, "_BLOCK_BYTES", 1 << 12)
+        monkeypatch.setattr(dataio, "_TWO_PROCESS_BYTES", 1 << 12)
+        return calls
+
+    @pytest.fixture
+    def odd_file(self, tmp_path):
+        """A written corpus with bad lines in both halves, and its one-process parse."""
+        path = tmp_path / "events.ndjson"
+        _canonical_file(path, n_users=300)
+        lines = path.read_bytes().splitlines(keepends=True)
+        for k in (len(lines) * 3 // 4, 100, 7):
+            lines[k:k] = [b"{bad\n", b"\xff\n", b'{"user":"\\u00e9","hashtag":"h","ts":1}\r\n']
+        path.write_bytes(b"".join(lines))
+        with pytest.MonkeyPatch.context() as patch:
+            _one_cpu(patch)
+            want = _parsed_path(path)
+        assert want[1] == 6 and len(want[2]) == 6 and all(f == __file__ for _, f in want[2])
+        return path, want
+
+    @pytest.mark.parametrize("opener", [open, io.FileIO])
+    def test_halves_match_one_process(self, forks, odd_file, opener):
+        path, want = odd_file
+        assert _parsed_path(path, opener) == want
+        assert forks == [1]
+
+    def test_a_small_file_takes_one_process(self, forks, odd_file, monkeypatch):
+        path, want = odd_file
+        monkeypatch.setattr(dataio, "_TWO_PROCESS_BYTES", path.stat().st_size)
+        assert _parsed_path(path) == want
+        assert forks == []
+        monkeypatch.setattr(dataio, "_TWO_PROCESS_BYTES", path.stat().st_size - 1)
+        assert _parsed_path(path) == want
+        assert forks == [1]
+
+    def test_a_cpu_quota_below_two_takes_one_process(self, forks, odd_file, monkeypatch):
+        # Two processes held to one CPU's time parse slower than one process.
+        path, want = odd_file
+        monkeypatch.setattr(dataio, "_quota_cpus", lambda: 1.5)
+        assert _parsed_path(path) == want
+        assert forks == []
+
+    @pytest.mark.parametrize("module", ["gzip", "bz2"])
+    def test_compressed_files_take_one_process(self, forks, odd_file, tmp_path, module):
+        # gzip and bz2 files report the compressed file's descriptor and seekable().
+        path, want = odd_file
+        compressed = tmp_path / f"events.{module}"
+        opener = __import__(module).open
+        with opener(compressed, "wb") as out:
+            out.write(path.read_bytes())
+        assert _parsed_path(compressed, opener) == want
+        assert forks == []
+
+    def test_a_pipe_takes_one_process(self, forks, odd_file):
+        path, (records, skipped, warned) = odd_file
+        with (
+            subprocess.Popen(["cat", str(path)], stdout=subprocess.PIPE) as cat,
+            warnings.catch_warnings(record=True) as caught,
+        ):
+            warnings.simplefilter("always")
+            assert parse_records(cat.stdout) == (records, skipped)
+        assert [(str(w.message), w.filename) for w in caught] == warned
+        _no_child()
+        assert forks == []
+
+    def test_a_stream_part_read_parses_the_rest(self, forks, odd_file, tmp_path):
+        path, _ = odd_file
+        head = b"".join(path.read_bytes().splitlines(keepends=True)[:1000])
+        rest = tmp_path / "rest.ndjson"
+        rest.write_bytes(path.read_bytes()[len(head) :])
+        with open(path, "rb") as fh, warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for _ in range(1000):  # leaves read-ahead bytes in the buffer
+                fh.readline()
+            got = parse_records(fh)
+        _no_child()
+        assert forks == [1]
+        records, skipped, warned = _parsed_path(rest)
+        assert got == (records, skipped)
+        assert [(str(w.message), w.filename) for w in caught] == warned
+
+    def test_a_worker_exception_reaches_the_caller(self, forks, odd_file, monkeypatch):
+        parent, columns = os.getpid(), dataio._canonical_columns
+
+        def failing(block):
+            if os.getpid() != parent:
+                raise RuntimeError("failed in the worker")
+            return columns(block)
+
+        monkeypatch.setattr(dataio, "_canonical_columns", failing)
+        with open(odd_file[0], "rb") as fh, pytest.raises(RuntimeError, match="failed in the worker"):
+            parse_records(fh)
+        _no_child()
+        assert forks == [1]
+
+    def test_a_parent_exception_reaches_the_caller(self, forks, odd_file, monkeypatch):
+        # The worker is still parsing when this process fails: it is killed and reaped.
+        parent, columns = os.getpid(), dataio._canonical_columns
+
+        def failing(block):
+            if os.getpid() == parent:
+                raise RuntimeError("failed in the parent")
+            return columns(block)
+
+        monkeypatch.setattr(dataio, "_canonical_columns", failing)
+        with open(odd_file[0], "rb") as fh, pytest.raises(RuntimeError, match="failed in the parent"):
+            parse_records(fh)
+        _no_child()
+        assert forks == [1]
+
+    def test_a_worker_that_dies_is_an_os_error(self, forks, odd_file, monkeypatch):
+        parent, parsed = os.getpid(), dataio._parsed
+        dies = lambda *args: parsed(*args) if os.getpid() == parent else os._exit(3)
+        monkeypatch.setattr(dataio, "_parsed", dies)
+        with open(odd_file[0], "rb") as fh, pytest.raises(OSError, match="exit status 3 and no result"):
+            parse_records(fh)
+        _no_child()
+
+    def test_a_failed_fork_parses_in_one_process(self, forks, odd_file, monkeypatch):
+        def fork():
+            forks.append(1)
+            raise OSError(errno.EAGAIN, "no process")
+
+        monkeypatch.setattr(os, "fork", fork)
+        path, want = odd_file
+        assert _parsed_path(path) == want
+        assert forks == [1]
+
+    def test_the_worker_flushes_no_inherited_buffer(self, odd_file):
+        # A pipe's stdout is block-buffered: "before" is still in the buffer at the fork.
+        code = (
+            "import os, sys, warnings; from hcwmf import dataio; warnings.simplefilter('ignore'); "
+            "os.sched_getaffinity = lambda pid: {0, 1}; dataio._quota_cpus = lambda: 2; "
+            "dataio._BLOCK_BYTES = dataio._TWO_PROCESS_BYTES = 1 << 12; "
+            f"print('before'); dataio.parse_records(open({str(odd_file[0])!r}, 'rb')); print('after')"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (0, b"before\nafter\n", b"")
+
+
+def _cgroup_tree(tmp_path, cgroup, files):
+    """A /proc/self/cgroup text and a cgroup file system root holding ``files``."""
+    proc = tmp_path / "cgroup"
+    proc.write_text(cgroup)
+    for name, text in files.items():
+        (tmp_path / "fs" / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / "fs" / name).write_text(text)
+    return str(proc), str(tmp_path / "fs")
+
+
+class TestQuotaCpus:
+    def test_v2_least_over_the_cgroup_and_its_ancestors(self, tmp_path):
+        files = {
+            "cpu.max": "max 100000\n",  # no limit at the root
+            "a/cpu.max": "150000 100000\n",
+            "a/b/cpu.max": "max 100000\n",
+        }
+        assert dataio._quota_cpus(*_cgroup_tree(tmp_path, "0::/a/b\n", files)) == 1.5
+
+    def test_v1_container_reads_its_mounted_root(self, tmp_path):
+        # Inside a container the /proc path names the host's cgroup, which is not mounted.
+        cgroup = "4:memory:/docker/abc\n2:cpu,cpuacct:/docker/abc\n0::/\n"
+        files = {"cpu,cpuacct/cpu.cfs_quota_us": "100000\n", "cpu,cpuacct/cpu.cfs_period_us": "100000\n"}
+        assert dataio._quota_cpus(*_cgroup_tree(tmp_path, cgroup, files)) == 1
+
+    @pytest.mark.parametrize(
+        "cgroup, files",
+        [
+            ("0::/\n", {}),
+            ("0::/\n", {"cpu.max": "max 100000\n"}),
+            ("1:cpu:/\n", {"cpu/cpu.cfs_quota_us": "-1\n", "cpu/cpu.cfs_period_us": "100000\n"}),
+            ("1:name=systemd:/\n", {"name=systemd/cpu.max": "100000 100000\n"}),
+        ],
+    )
+    def test_no_quota_is_inf(self, tmp_path, cgroup, files):
+        assert dataio._quota_cpus(*_cgroup_tree(tmp_path, cgroup, files)) == math.inf
+
+    def test_no_proc_file_is_inf(self, tmp_path):
+        assert dataio._quota_cpus(str(tmp_path / "missing"), str(tmp_path)) == math.inf
 
 
 class TestWriteRecords:

@@ -15,6 +15,7 @@ cumulative counts against its binned matrix.
 import io
 import json
 import math
+import os
 import re
 import tempfile
 import warnings
@@ -561,6 +562,46 @@ def test_parse_records_in_blocks_matches_per_line_json_loads(runs, final_newline
     assert all(w.filename == __file__ for w in caught)
     assert records.users == tuple(sorted({u for u, _, _ in want[0]}))
     assert records.hashtags == tuple(sorted({h for _, h, _ in want[0]}))
+
+
+@settings(deadline=None)
+@given(
+    st.lists(compact_runs() | record_lines().map(lambda line: [line]), min_size=1, max_size=12),
+    st.booleans(),
+    st.integers(16, 400),
+)
+@example([[_RECORD.encode()] * 6, [b"{bad"], [_RECORD.encode() + b"\r"] * 6, [b"\xff"]], False, 64)
+def test_parse_records_in_two_processes_matches_one(runs, final_newline, block_bytes):
+    # A real file of small blocks, parsed with two usable CPUs (a worker process parses
+    # its second half) and with one (no worker), gives the same records and warnings.
+    data = b"\n".join(line for run in runs for line in run) + b"\n" * final_newline
+    cut = data.find(b"\n", len(data) // 2) + 1
+    forks = []
+    fork = os.fork
+    parsed = []
+    with (
+        tempfile.TemporaryDirectory() as tmp,
+        mock.patch.object(dataio, "_BLOCK_BYTES", block_bytes),
+        mock.patch.object(dataio, "_TWO_PROCESS_BYTES", block_bytes),
+        mock.patch.object(dataio, "_quota_cpus", lambda: math.inf),
+    ):
+        path = Path(tmp) / "events.ndjson"
+        path.write_bytes(data)
+        for cpus in ({0, 1}, {0}):
+            with (
+                warnings.catch_warnings(record=True) as caught,
+                mock.patch.object(os, "sched_getaffinity", lambda pid: cpus),
+                mock.patch.object(os, "fork", lambda: forks.append(cpus) or fork()),
+                open(path, "rb") as fh,
+            ):
+                warnings.simplefilter("always")
+                records, skipped = parse_records(fh)
+            with pytest.raises(ChildProcessError):  # no process outlives the parse
+                os.waitpid(-1, os.WNOHANG)
+            parsed.append((list(records.events), skipped, [(str(w.message), w.filename) for w in caught]))
+    assert parsed[0] == parsed[1]
+    assert all(filename == __file__ for _, filename in parsed[0][2])
+    assert forks == [{0, 1}] * (len(data) > block_bytes and 0 < cut < len(data))
 
 
 _LONG_RECORD = b'{"user":"' + b"L" * 300 + b'","hashtag":"h","ts":5}'
